@@ -60,7 +60,6 @@ from .harness import (
 )
 from .online import (
     OnlineRegressor,
-    SensitivityQuery,
     approx_cost_range,
     online_update,
     sensitivity,

@@ -125,16 +125,16 @@ class LearnerState:
 
 def _decide(policy, los, his, threshold):
     """Candidate set and query set from interval ends (0-based arrays)."""
-    min_hi = his.min()
-    nondominated = np.flatnonzero(los <= min_hi)
-    wide = np.flatnonzero(his - los > threshold)
+    candidate = los <= his.min()
+    wide = his - los > threshold
+    nondominated = np.flatnonzero(candidate)
     if policy == "passive":
         to_query = np.arange(los.size)
     elif policy == "nodom":
-        to_query = wide
+        to_query = np.flatnonzero(wide)
     else:
         overlap_query = (
-            np.intersect1d(nondominated, wide) if nondominated.size > 1 else np.empty(0, int)
+            np.flatnonzero(candidate & wide) if nondominated.size > 1 else np.empty(0, int)
         )
         if policy == "coal":
             to_query = overlap_query
@@ -166,7 +166,7 @@ def process_example(state, x):
         intervals = tuple(intervals)
     else:
         delta_i = radius(i, state.schedule)
-        lo, hi = batch_cost_ranges(
+        los, his = batch_cost_ranges(
             state.online_weights,
             state.online_accumulators,
             state.base_rate,
@@ -174,11 +174,12 @@ def process_example(state, x):
             delta_i,
         )
         intervals = tuple(
-            CostInterval(float(l), float(h), 0.0) for l, h in zip(lo, hi)
+            CostInterval(float(l), float(h), 0.0) for l, h in zip(los, his)
         )
 
-    los = np.array([iv.lo for iv in intervals])
-    his = np.array([iv.hi for iv in intervals])
+    if state.mode == "exact":
+        los = np.array([iv.lo for iv in intervals])
+        his = np.array([iv.hi for iv in intervals])
     nondominated, to_query = _decide(state.policy, los, his, threshold)
     return QueryDecision(
         round=i,

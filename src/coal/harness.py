@@ -203,12 +203,17 @@ def ensure_bias(example):
     return LabeledExample(sparse_vector([(0, 1.0)] + feats.pairs()), example.costs)
 
 
+def _data_lines(lines):
+    """(1-based line number, stripped text) of each line that holds an example."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _scan_max_label(lines):
     top = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in _data_lines(lines):
         left = line.split("|", 1)[0]
         for tok in left.split():
             head = tok.partition(":")[0]
@@ -227,15 +232,28 @@ def load_dataset(path, k=None):
         lines = fh.readlines()
     if k is None:
         k = _scan_max_label(lines)
-    examples = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        examples.append(parse_example(line, k, lineno))
+    examples = [parse_example(line, k, lineno) for lineno, line in _data_lines(lines)]
     if not examples:
         raise DataError(f"dataset {path} has no examples")
     return examples, k
+
+
+def _require_full_costs(path, examples):
+    """Reject a dataset with a line that leaves some label's cost unobserved.
+
+    Without a hierarchy to rebuild costs, the learner may query any label on
+    any training example and the test cost reads every label of a test one.
+    """
+    for j, ex in enumerate(examples):
+        if not ex.costs.observed.all():
+            missing = np.flatnonzero(~ex.costs.observed) + 1
+            with open(path, encoding="utf-8") as fh:
+                lineno = [n for n, _ in _data_lines(fh)][j]
+            raise DataError(
+                f"{path} line {lineno}: no cost for label(s) "
+                f"{', '.join(map(str, missing))}; without a hierarchy every line "
+                f"needs a cost for each of the {ex.costs.k} labels"
+            )
 
 
 def load_hierarchy(path):
@@ -298,6 +316,8 @@ def _load_streams(cfg):
         examples, k = load_dataset(cfg.dataset, hierarchy.k if hierarchy else None)
         if hierarchy:
             examples = fill_hierarchy_costs(examples, hierarchy)
+        else:
+            _require_full_costs(cfg.dataset, examples)
         examples = [ensure_bias(ex) for ex in examples]
         n_test = max(1, round(cfg.test_fraction * len(examples)))
         if n_test >= len(examples):

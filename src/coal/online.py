@@ -21,6 +21,11 @@ which is the exact w-derivative of the update above at w = 0. Fresh features
 (G_k = 0) make it effectively unbounded, forcing the cost range to [0, 1]
 until the direction has been explored; the accumulator is floored at 1e-12
 inside the sum to keep the arithmetic finite.
+
+A label's cost range is how far the prediction can move toward 0 and toward
+1 before the importance-weighted update that moves it there costs more
+squared error than the round's risk radius allows. The break-even weight is
+the root of a cubic, which has a closed form (see _gap_moves).
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import numpy as np
 from .cost_range import CostInterval
 
 ACCUM_FLOOR = 1e-12
-WEIGHT_SEARCH_TOL = 1e-6
 
 
 @dataclass
@@ -67,18 +71,6 @@ class OnlineRegressor:
 
     def predict(self, x):
         return min(1.0, max(0.0, self.raw(x)))
-
-
-@dataclass(frozen=True)
-class SensitivityQuery:
-    """A probe point and the cost target the prediction would move toward."""
-
-    features: object  # SparseVector
-    target: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.target <= 1.0:
-            raise ValueError("target must lie in [0, 1]")
 
 
 def online_update(regressor, x, cost, weight):
@@ -115,101 +107,79 @@ def sensitivity(regressor, x, target):
     return 2.0 * regressor.base_rate * abs(regressor.raw(x) - target) * scale
 
 
-def _break_even(p_sq_gap, s, delta, cap):
-    """Largest w in (0, cap] with w * (p_sq_gap - (edge - w s)^2 ...) <= delta.
+def _gap_fraction(r):
+    """Root u in [0, 1] of u^2 (2 - u) = r (r >= 0, array), saturating at 1.
 
-    Callers pass the side-specific objective through p_sq_gap/s/cap; the
-    objective is w * (base - (base_root - w*s)^2) which increases on the
-    bracket, so bisection applies. Saturates at cap when even the bracket end
-    stays within delta.
+    The trigonometric root of the cubic is
+    u = 2/3 + 4/3 cos(arccos(1 - 27 r / 16) / 3 - 2 pi / 3). Rewritten with
+    arccos(1 - 2 z^2) = 2 arcsin(z) and the angle-difference formula it is the
+    sum of two nonnegative terms below, which keeps full float64 precision as
+    r -> 0 (the arccos form loses about sqrt(eps) there) and gives u(0) = 0.
     """
-    # scalar helper kept for the public per-label op; vectorized twin below
-    base_root = math.sqrt(p_sq_gap)
+    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(r, 1.0) * (27.0 / 32.0)))
+    u = (4.0 / 3.0) * np.sin(phi / 2.0) ** 2 + (2.0 / math.sqrt(3.0)) * np.sin(phi)
+    return np.where(r >= 1.0, 1.0, u)
 
-    def objective(w):
-        return w * (p_sq_gap - (base_root - w * s) ** 2)
 
-    if objective(cap) <= delta:
-        return cap
-    lo, hi = 0.0, cap
-    while hi - lo > WEIGHT_SEARCH_TOL:
-        mid = (lo + hi) / 2.0
-        if objective(mid) <= delta:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _gap_moves(gap, s, deltas):
+    """How far each prediction can move across its gap within its budget.
+
+    A move of importance weight w covers w * s of the gap and raises the
+    weighted squared error by w (gap^2 - (gap - w s)^2) = w^2 s (2 gap - w s),
+    which grows until the move spans the gap (w s = gap). With u = w s / gap
+    the break-even weight solves u^2 (2 - u) = delta s / gap^3, and the move
+    is u * gap.
+    """
+    live = (gap > 0) & (s > 0)
+    u = np.zeros(gap.shape)
+    # r only where live: round 1 of the mellow schedule has delta = inf with s = 0
+    u[live] = _gap_fraction(deltas[live] * s[live] / gap[live] ** 3)
+    return u * gap
+
+
+def _break_even(p_sq_gap, s, delta, cap):
+    """Largest w in (0, cap] with w (p_sq_gap - (sqrt(p_sq_gap) - w s)^2) <= delta.
+
+    The scalar form of the root behind batch_cost_ranges; the objective
+    increases up to w = sqrt(p_sq_gap) / s, so cap should not exceed that.
+    """
+    gap = math.sqrt(p_sq_gap)
+    u = _gap_fraction(np.asarray(delta * s / gap**3))
+    return min(float(u) * gap / s, cap)
 
 
 def approx_cost_range(regressor, x, delta):
     """Cost interval reachable within risk budget delta around the prediction.
 
-    Each side asks how far the prediction could move toward 0 (resp. 1)
-    before the weighted squared-error increase of the move exceeds delta;
-    the move per importance weight w is w * sensitivity.
+    The one-regressor case of batch_cost_ranges.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    p = regressor.predict(x)
-    lo, hi = p, p
-    s_lo = sensitivity(regressor, x, 0.0)
-    if s_lo > 0 and p > 0:
-        w = _break_even(p * p, s_lo, delta, p / s_lo)
-        lo = p - w * s_lo
-    s_hi = sensitivity(regressor, x, 1.0)
-    if s_hi > 0 and p < 1:
-        w = _break_even((1.0 - p) ** 2, s_hi, delta, (1.0 - p) / s_hi)
-        hi = p + w * s_hi
-    return CostInterval(lo=max(0.0, lo), hi=min(1.0, hi), tol=0.0)
+    lo, hi = batch_cost_ranges(
+        regressor.weights[None], regressor.accumulators[None], regressor.base_rate, x, delta
+    )
+    return CostInterval(lo=float(lo[0]), hi=float(hi[0]), tol=0.0)
 
 
 def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
-    """approx_cost_range for K regressors sharing one point, in lockstep.
+    """Cost intervals of K regressors sharing one point, as (lo, hi) arrays.
 
-    weight_rows/accum_rows are (K, dim); deltas broadcasts over labels.
-    Returns (lo, hi) arrays; agrees with the per-label op to within the
-    weight-search tolerance on each endpoint.
+    weight_rows/accum_rows are (K, dim); deltas broadcasts over labels. Each
+    side asks how far the prediction could move toward 0 (resp. 1) before the
+    weighted squared-error increase of the move exceeds delta; the move per
+    importance weight w is w * sensitivity.
     """
     idx, val = x.indices, x.values
     k = weight_rows.shape[0]
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), (k,))
     if idx.size == 0:
-        p = np.zeros(k)
-        return p.copy(), p.copy()
+        return np.zeros(k), np.zeros(k)
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), (k,))
     raw = weight_rows[:, idx] @ val
     p = np.clip(raw, 0.0, 1.0)
     acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)
     scale = (val * val / np.sqrt(acc)).sum(axis=1)
-    s_lo = 2.0 * base_rate * np.abs(raw - 0.0) * scale
+    s_lo = 2.0 * base_rate * np.abs(raw) * scale
     s_hi = 2.0 * base_rate * np.abs(raw - 1.0) * scale
-
-    def solve_side(gap_root, s):
-        # roots of w * (gap_root^2 - (gap_root - w s)^2) = delta on (0, cap]
-        live = (s > 0) & (gap_root > 0)
-        w = np.zeros(k)
-        if not np.any(live):
-            return w
-        cap = np.where(live, gap_root / np.where(live, s, 1.0), 0.0)
-        gap_sq = gap_root * gap_root
-
-        def objective(wv):
-            return wv * (gap_sq - (gap_root - wv * s) ** 2)
-
-        saturated = live & (objective(cap) <= deltas)
-        w[saturated] = cap[saturated]
-        active = live & ~saturated
-        lo = np.zeros(k)
-        hi = cap.copy()
-        span = np.where(active, cap, 0.0)
-        steps = int(math.ceil(math.log2(max(float(span.max()), WEIGHT_SEARCH_TOL) / WEIGHT_SEARCH_TOL))) + 1
-        for _ in range(steps):
-            mid = (lo + hi) / 2.0
-            ok = objective(mid) <= deltas
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        w[active] = lo[active]
-        return w
-
-    w_lo = solve_side(p, s_lo)
-    w_hi = solve_side(1.0 - p, s_hi)
-    return np.maximum(p - w_lo * s_lo, 0.0), np.minimum(p + w_hi * s_hi, 1.0)
+    lo = p - _gap_moves(p, s_lo, deltas)
+    hi = p + _gap_moves(1.0 - p, s_hi, deltas)
+    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)

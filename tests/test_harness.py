@@ -1,9 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coal.cli import main
+from coal.cli import build_parser, main
 from coal.data import DataError, full_costs, parse_hierarchy, sparse_vector
 from coal.driver import LearnerState
 from coal.harness import (
@@ -361,6 +363,44 @@ def test_cli_malformed_dataset(tmp_path, capsys):
     path.write_text("1:0.5 | junk\n", encoding="utf-8")
     code = main(["--data", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+def test_cli_rejects_partial_costs_without_hierarchy(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    lines = []
+    for n in range(1, 201):
+        costs = rng.uniform(size=3)
+        labels = (1, 2) if n % 3 == 0 else (1, 2, 3)
+        head = " ".join(f"{y}:{costs[y - 1]:.3f}" for y in labels)
+        lines.append(f"{head} | 1:{rng.uniform():.3f} 2:{rng.uniform():.3f}\n")
+    data = tmp_path / "partial.txt"
+    data.write_text("".join(lines), encoding="utf-8")
+    for policy in ("passive", "coal"):
+        argv = ["--data", str(data), "--policy", policy, "--seeds", "1"]
+        code = main(argv + ["--out", str(tmp_path / policy)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "line 3" in err and "label(s) 3" in err
+    # a hierarchy rebuilds every cost from the best observed label
+    tree = tmp_path / "tree.txt"
+    tree.write_text("0 0\n1 0\n2 0\n3 0\n", encoding="utf-8")
+    argv = ["--data", str(data), "--hierarchy", str(tree), "--seeds", "1"]
+    assert main(argv + ["--out", str(tmp_path / "tree")]) == 0
+
+
+def test_readme_flag_defaults_match_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \|([^|]*)\|", readme, re.MULTILINE)
+    parser = build_parser()
+    dests = {a.option_strings[0]: a.dest for a in parser._actions if a.option_strings}
+    assert {flag for flag, _ in rows} == set(dests) - {"-h"}
+    for flag, cell in rows:
+        default = parser.get_default(dests[flag])
+        documented = cell.strip().strip("`")
+        if default is None:
+            assert documented == "", flag
+        else:
+            assert type(default)(documented) == default, flag
 
 
 def test_cli_emit_stream(tmp_path, capsys):

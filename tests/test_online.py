@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coal.data import sparse_vector
 from coal.online import (
     OnlineRegressor,
-    SensitivityQuery,
+    _gap_fraction,
     approx_cost_range,
     batch_cost_ranges,
     online_update,
@@ -113,12 +113,6 @@ def test_regressor_validation():
         OnlineRegressor(np.zeros(2), np.zeros(2), 0.0)
 
 
-def test_sensitivity_query_validation():
-    SensitivityQuery(X1, 1.0)
-    with pytest.raises(ValueError):
-        SensitivityQuery(X1, 1.5)
-
-
 def test_sensitivity_zero_for_empty_point():
     g = warmed([0.5], [1.0])
     assert sensitivity(g, sparse_vector([]), 1.0) == 0.0
@@ -161,13 +155,55 @@ def test_range_collapses_without_sensitivity():
     assert (iv.lo, iv.hi) == (0.0, 0.0)  # empty point predicts 0 and cannot move
 
 
+def reference_gap_fraction(r):
+    """Root u in [0, 1] of u^2 (2 - u) = r by bisection to full float64 precision."""
+    if r >= 1.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid * mid * (2.0 - mid) <= r:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def test_range_anchor_cubic_root():
-    # lower side solves w^2 - w^3 = 0.01; frozen root from a high-precision solve
-    g = warmed([0.5], [0.25], rate=0.5)
-    iv = approx_cost_range(g, X1, 0.01)
-    w_root = 0.105747450727784316
-    assert iv.lo == pytest.approx(0.5 - w_root, abs=2e-6)
-    assert iv.hi == pytest.approx(0.5 + w_root, abs=2e-6)
+    cases = [
+        # lower side solves w^2 - w^3 = 0.01; frozen root from a high-precision solve
+        (0.25, 0.01, 0.5 - 0.105747450727784316),
+        # s = 5e5, so the break-even weight lies below cap = g / s = 1e-6:
+        # delta = r * g^3 / s at r = 0.5 and r = 0.9
+        (1e-14, 0.5 * 0.125 / 5e5, 0.201516),
+        (1e-14, 0.9 * 0.125 / 5e5, 0.046136),
+    ]
+    for accum, delta, lo in cases:
+        g = warmed([0.5], [accum], rate=0.5)
+        iv = approx_cost_range(g, X1, delta)
+        batch_lo, batch_hi = batch_cost_ranges(
+            g.weights[None], g.accumulators[None], 0.5, X1, delta
+        )
+        # p = 0.5 sits mid-way, so both sides move by the same amount
+        assert iv.lo == pytest.approx(lo, abs=2e-6)
+        assert iv.hi == pytest.approx(1.0 - lo, abs=2e-6)
+        assert batch_lo[0] == pytest.approx(lo, abs=2e-6)
+        assert batch_hi[0] == pytest.approx(1.0 - lo, abs=2e-6)
+
+
+def test_gap_fraction_matches_bisection():
+    rng = np.random.default_rng(6)
+    r = np.concatenate(
+        [
+            10.0 ** rng.uniform(-20, -12, 300),
+            rng.uniform(0.0, 1.0, 300),
+            1.0 - 10.0 ** rng.uniform(-15, -2, 300),
+            [0.0, 1.0, 1.5, math.inf],
+        ]
+    )
+    u = _gap_fraction(r)
+    ref = np.array([reference_gap_fraction(v) for v in r])
+    assert np.abs(u - ref).max() <= 1e-8
 
 
 def test_range_saturates_for_huge_budget():
@@ -229,9 +265,8 @@ def test_batch_matches_scalar_op():
         for y in range(k):
             g = OnlineRegressor(weights[y].copy(), accums[y].copy(), rate)
             iv = approx_cost_range(g, x, float(deltas[y]))
-            s_ref = max(sensitivity(g, x, 0.0), sensitivity(g, x, 1.0), 1.0)
-            assert lo[y] == pytest.approx(iv.lo, abs=2e-6 * s_ref)
-            assert hi[y] == pytest.approx(iv.hi, abs=2e-6 * s_ref)
+            assert lo[y] == pytest.approx(iv.lo, abs=1e-12)
+            assert hi[y] == pytest.approx(iv.hi, abs=1e-12)
 
 
 def test_batch_broadcasts_scalar_delta():
