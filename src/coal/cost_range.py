@@ -10,7 +10,10 @@ t = 1 (t = 0 for the smallest): each guess asks whether
                                risk_j(g) <= budget_j  for every ledger round j
 
 and the question is answered with a multiplicative-weights game between the
-constraints and a weighted least-squares oracle. An infeasibility verdict
+constraints and a weighted least-squares oracle. The game's best response is
+one call of oracle.solve_bounded_least_squares on the mu-weighted sums of the
+deduplicated ledger prefixes; separation_oracle is its full-ledger form,
+which weighs every ledger entry. An infeasibility verdict
 exhibits a nonnegative combination of constraints that no regressor can
 satisfy, so it is sound no matter how few iterations ran; a feasible verdict
 comes with the averaged iterate and its measured constraint violations.
@@ -35,16 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import (
-    RIDGE,
-    LinearRegressor,
-    WeightedPoint,
-    fit_weighted,
-    solve_bounded_least_squares,
-)
+from .oracle import RIDGE, LinearRegressor, solve_bounded_least_squares
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_NORM_BOUND = 10.0
+MW_CONSTANT = 12.0  # numerator of the iteration budget, see mw_iterations
+CHECK_EVERY = 8  # game iterations between early-stop checks
+CERTIFICATE_SLACK = 1e-9  # least weighted overshoot that certifies infeasibility
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,8 @@ class MwConfig:
 class MwSettings:
     """Solver knobs shared by every guess of a bisection search."""
 
-    mw_constant: float = 12.0
     t_max: int = 2000
     early_stop: bool = True
-    check_every: int = 8
-    keep_iterates: bool = False
-    certificate_slack: float = 1e-9
 
 
 DEFAULT_SETTINGS = MwSettings()
@@ -163,7 +159,7 @@ def mw_iterations(round_i, delta_i, tol, settings=DEFAULT_SETTINGS):
     if tol <= 0:
         raise ValueError("tol must be positive")
     if math.isfinite(delta_i):
-        base = math.log(round_i + 1) * (settings.mw_constant / delta_i) ** 2 / tol**4
+        base = math.log(round_i + 1) * (MW_CONSTANT / delta_i) ** 2 / tol**4
     else:
         base = 0.0
     return max(1, min(settings.t_max, math.ceil(base)))
@@ -192,7 +188,6 @@ class MwFeasible:
     value_averages: np.ndarray
     violations: np.ndarray
     iterations: int
-    iterates: list | None = None
 
     feasible = True
 
@@ -245,16 +240,6 @@ class RangeProblem:
         )
         return float(w @ self.x)
 
-    def _oracle(self, h, b):
-        d = h.shape[0]
-        try:
-            w = np.linalg.solve(h + RIDGE * np.eye(d), b)
-        except np.linalg.LinAlgError:
-            w = None
-        if w is None or not np.all(np.isfinite(w)) or np.linalg.norm(w) > self.bound:
-            w = solve_bounded_least_squares(h, b, self.bound)
-        return w
-
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
         m = self.m
@@ -267,7 +252,6 @@ class RangeProblem:
 
         weight_sum = np.zeros(x.size)
         value_sum = np.zeros(m + 1)
-        kept = [] if settings.keep_iterates else None
         it = 0
         for it in range(1, t_loop + 1):
             nu = mu[1:] / self.denoms if m else mu[1:]
@@ -276,7 +260,7 @@ class RangeProblem:
             if m:
                 h = h + np.einsum("m,mij->ij", nu, self.gram_stack)
                 b = b + nu @ self.moment_stack
-            w = self._oracle(h, b)
+            w = solve_bounded_least_squares(h, b, self.bound)
             fake = (w @ x - t) ** 2
             if m:
                 quads = (
@@ -289,12 +273,10 @@ class RangeProblem:
                 risks = np.empty(0)
             values = np.concatenate(([fake], risks))
             gap = mu @ (values - bounds)
-            if gap >= settings.certificate_slack:
+            if gap >= CERTIFICATE_SLACK:
                 return MwInfeasible(it, float(mu @ values), float(mu @ bounds), mu.copy())
             value_sum += values
             weight_sum += w
-            if kept is not None:
-                kept.append(LinearRegressor(w, self.bound))
             if cfg.eta > 0:
                 ratios = np.clip((bounds - values) / widths, -1.0, 1.0)
                 mu = mu * (1.0 - cfg.eta * ratios)
@@ -302,7 +284,7 @@ class RangeProblem:
             if (
                 settings.early_stop
                 and it < t_loop
-                and it % settings.check_every == 0
+                and it % CHECK_EVERY == 0
                 and np.all(value_sum / it <= bounds + slack_target)
             ):
                 break
@@ -312,7 +294,6 @@ class RangeProblem:
             value_averages=avg,
             violations=np.maximum(avg - bounds, 0.0),
             iterations=it,
-            iterates=kept,
         )
 
 
@@ -325,24 +306,27 @@ def separation_oracle(mu, t, x, state, bound=DEFAULT_NORM_BOUND):
     """Best response to constraint weights mu over the full ledger.
 
     mu[0] weighs the target constraint at x; mu[1 + j] weighs the ledger
-    entry j. Realized as a single weighted least-squares fit: the target
-    point with weight mu[0], and each queried point with the accumulated
-    weight of every ledger constraint whose prefix contains it.
+    entry j. This is the full-ledger form of the oracle step of
+    RangeProblem.run: one weighted least-squares fit whose normal equations
+    add mu[0] (x, t) to mu[1 + j] / (round_j - 1) times the prefix sums of
+    entry j, so a queried point carries the accumulated weight of every
+    ledger constraint whose prefix contains it.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.size != 1 + len(state.ledger):
         raise ValueError("need one weight for the target plus one per ledger entry")
-    if np.any(mu < 0):
-        raise ValueError("constraint weights must be nonnegative")
-    points = [WeightedPoint(x, float(t), float(mu[0]))]
-    for round_q, xq, cost in state.points:
-        agg = sum(
-            mu[1 + j] / (entry.round - 1)
-            for j, entry in enumerate(state.ledger)
-            if round_q < entry.round
-        )
-        points.append(WeightedPoint(xq, cost, agg))
-    return fit_weighted(points, bound, dim=state.dim)
+    if not np.all(np.isfinite(mu) & (mu >= 0)):
+        raise ValueError("constraint weights must be finite and nonnegative")
+    xd = x.to_dense(state.dim)
+    gram = mu[0] * np.outer(xd, xd)
+    moment = mu[0] * t * xd
+    for weight, entry in zip(mu[1:], state.ledger):
+        count = state.n_points_before(entry.round)
+        if count:
+            g, h, _ = state.prefix_sums(count)
+            gram = gram + weight / (entry.round - 1) * g
+            moment = moment + weight / (entry.round - 1) * h
+    return LinearRegressor(solve_bounded_least_squares(gram, moment, bound), bound)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .cost_range import (
     DEFAULT_NORM_BOUND,
     DEFAULT_SETTINGS,
     CostInterval,
-    RangeProblem,
-    _bisect_cost,
+    cost_interval,
     radius,
 )
 from .data import QueryLog
@@ -147,25 +146,8 @@ def process_example(state, x):
     """Compute intervals and the query decision for the current round."""
     i = state.round
     threshold = psi(i)
-    if state.policy == "passive" and state.mode == "exact":
-        # passive ignores intervals; skip the solver work
-        intervals = tuple(CostInterval(0.0, 1.0, 1.0) for _ in range(state.k))
-    elif state.mode == "exact":
-        delta_i = radius(i, state.schedule)
-        tol = threshold / 4.0
-        intervals = []
-        for label_state in state.labels:
-            problem = RangeProblem(x, label_state, state.norm_bound)
-            lo = _bisect_cost(
-                0, problem, tol, i, delta_i, state.schedule.kappa, state.settings
-            )
-            hi = _bisect_cost(
-                1, problem, tol, i, delta_i, state.schedule.kappa, state.settings
-            )
-            intervals.append(CostInterval(lo.value, hi.value, max(lo.tol, hi.tol)))
-        intervals = tuple(intervals)
-    else:
-        delta_i = radius(i, state.schedule)
+    delta_i = radius(i, state.schedule)
+    if state.mode == "online":
         los, his = batch_cost_ranges(
             state.online_weights,
             state.online_accumulators,
@@ -176,8 +158,24 @@ def process_example(state, x):
         intervals = tuple(
             CostInterval(float(l), float(h), 0.0) for l, h in zip(los, his)
         )
-
-    if state.mode == "exact":
+    else:
+        if state.policy == "passive":
+            # passive ignores intervals; skip the solver work
+            intervals = tuple(CostInterval(0.0, 1.0, 1.0) for _ in range(state.k))
+        else:
+            intervals = tuple(
+                cost_interval(
+                    x,
+                    label_state,
+                    threshold / 4.0,
+                    i,
+                    delta_i,
+                    rho=state.schedule.kappa,
+                    bound=state.norm_bound,
+                    settings=state.settings,
+                )
+                for label_state in state.labels
+            )
         los = np.array([iv.lo for iv in intervals])
         his = np.array([iv.hi for iv in intervals])
     nondominated, to_query = _decide(state.policy, los, his, threshold)

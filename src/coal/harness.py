@@ -68,6 +68,10 @@ class SyntheticSpec:
             raise ConfigError("synthetic stream needs k >= 2, dim >= k, n >= 1")
         if self.noise not in COST_NOISES:
             raise ConfigError(f"unknown cost noise {self.noise!r}")
+        try:
+            self.margin_law()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def margin_law(self):
         if self.kind == "massart":
@@ -132,7 +136,6 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     mw_settings: object = DEFAULT_SETTINGS
     synthetic_seed_base: int = 1_000_000
-    track_exact_ledger: bool | None = None
     seed_passive: int = 0
 
     def __post_init__(self):
@@ -146,6 +149,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown radius mode {self.radius_mode!r}")
         if self.mellowness <= 0 or self.learning_rate <= 0 or self.norm_bound <= 0:
             raise ConfigError("mellowness, learning rate, norm bound must be positive")
+        if self.kappa <= 0:
+            raise ConfigError("kappa must be positive")
+        if self.radius_mode == "theory" and self.kappa < 2.0:
+            raise ConfigError("theory radius needs kappa >= 2")
         if not 0.0 < self.delta <= 1.0 / math.e:
             raise ConfigError("delta must lie in (0, 1/e]")
         if self.seeds < 1 or self.budget_base < 1:
@@ -363,7 +370,6 @@ def run_seed(cfg, seed, train, test, k, dim):
         base_rate=cfg.learning_rate,
         norm_bound=cfg.norm_bound,
         settings=cfg.mw_settings,
-        track_exact_ledger=cfg.track_exact_ledger,
     )
     points = []
     next_q = 1

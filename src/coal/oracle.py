@@ -6,8 +6,10 @@ linear with an L2 norm bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
-via ridge-regularized normal equations, radial projection, and an exact
-KKT-path refinement when the ball constraint is active.
+with one solver, solve_bounded_least_squares: the ridge-regularized normal
+equations, and, when their solution leaves the ball, the exact KKT solution
+on the sphere. Every least-squares fit in the package (the ERM refit, the
+feasibility games' oracle, the separation oracle) goes through it.
 """
 
 from __future__ import annotations
@@ -70,10 +72,12 @@ def predict(regressor, x):
 def solve_bounded_least_squares(gram, moment, bound, ridge=RIDGE):
     """argmin_w w'Gw - 2 b'w subject to ||w|| <= bound.
 
-    Normal equations with a tiny ridge; if the unconstrained solution leaves
-    the ball, project radially, take a few projected-gradient steps, and
-    refine with the exact KKT path (eigendecomposition plus bisection on the
-    Lagrange multiplier). Returns the candidate with the best objective.
+    Solves the normal equations (G + ridge I) w = b. When that solution
+    leaves the ball (or the solve yields no finite solution), the constraint
+    is active and the minimiser is the KKT point w(mu) = (H + mu I)^-1 b with
+    H = G + ridge I and ||w(mu)|| = bound: mu comes from bisection in the
+    eigenbasis of H, where ||w(mu)||^2 = sum_i beta_i^2 / (lam_i + mu)^2 is
+    strictly decreasing in mu >= 0.
     """
     d = gram.shape[0]
     if d == 0:
@@ -83,25 +87,11 @@ def solve_bounded_least_squares(gram, moment, bound, ridge=RIDGE):
         w = np.linalg.solve(h, moment)
     except np.linalg.LinAlgError:
         w = np.linalg.lstsq(h, moment, rcond=None)[0]
-    norm = np.linalg.norm(w)
-    if norm <= bound or bound == 0:
-        return w if bound else np.zeros(d)
-
-    def objective(v):
-        return float(v @ h @ v - 2.0 * (moment @ v))
-
-    candidates = [w * (bound / norm)]
+    if bound == 0:
+        return np.zeros(d)
+    if np.linalg.norm(w) <= bound:
+        return w
     lam, q = np.linalg.eigh(h)
-    step = 1.0 / max(lam[-1], ridge)
-    v = candidates[0]
-    for _ in range(50):
-        v = v - step * 2.0 * (h @ v - moment)
-        n = np.linalg.norm(v)
-        if n > bound:
-            v = v * (bound / n)
-    candidates.append(v)
-    # exact active-constraint solution: w(mu) = (H + mu I)^-1 b with
-    # ||w(mu)|| = bound; ||w(mu)||^2 is strictly decreasing in mu >= 0
     beta = q.T @ moment
     lo, hi = 0.0, float(np.linalg.norm(beta)) / bound + 1.0
     for _ in range(200):
@@ -110,8 +100,7 @@ def solve_bounded_least_squares(gram, moment, bound, ridge=RIDGE):
             lo = mid
         else:
             hi = mid
-    candidates.append(q @ (beta / (lam + (lo + hi) / 2.0)))
-    return min(candidates, key=objective)
+    return q @ (beta / (lam + (lo + hi) / 2.0))
 
 
 def fit_weighted(points, bound, dim=None):
@@ -147,8 +136,8 @@ class LedgerEntry:
 class LabelState:
     """Query history and risk ledger for a single label.
 
-    Keeps the queried (round, features, cost) triples in round order along
-    with cumulative second-moment sums, so the empirical risk of any weight
+    Keeps the queried points' rounds in order and the cumulative second
+    moments of their (features, cost), so the empirical risk of any weight
     vector on any prefix is a single quadratic form. The ledger holds one
     entry per completed round from round 2 on; rounds strictly increase.
     """
@@ -156,7 +145,6 @@ class LabelState:
     def __init__(self, label, dim):
         self.label = label
         self.dim = dim
-        self.points = []  # (round, SparseVector, cost)
         self.rounds = []
         self.ledger = []
         self._cum_gram = [np.zeros((dim, dim))]
@@ -168,14 +156,13 @@ class LabelState:
 
     @property
     def n_points(self):
-        return len(self.points)
+        return len(self.rounds)
 
     def append_point(self, round_i, x, cost):
         if self.rounds and round_i <= self.rounds[-1]:
             raise ValueError("query rounds must be strictly increasing")
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
-        self.points.append((round_i, x, cost))
         self.rounds.append(round_i)
         xd = x.to_dense(self.dim)
         self._cum_gram.append(self._cum_gram[-1] + np.outer(xd, xd))

@@ -347,6 +347,26 @@ def test_cli_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--synthetic", "massart:k=2,dim=2,n=10", "--kappa", "0"],
+        ["--synthetic", "massart:k=2,dim=2,n=10", "--radius", "theory", "--kappa", "1.5"],
+        ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=2,beta=40,n=10"],
+        ["--synthetic", "massart:k=2,dim=2,tau=0.9,n=10"],
+        ["--synthetic", "massart:k=2,dim=2,tau=0.9,n=10", "--emit-stream", "s.txt"],
+    ],
+)
+def test_cli_rejects_bad_configuration_before_running(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + ["--seeds", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any(line.startswith("configuration error:") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
 def test_cli_bad_spec(capsys):
     code = main(["--synthetic", "massart:k=3"])
     assert code == 2

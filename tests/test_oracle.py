@@ -6,6 +6,7 @@ import pytest
 from coal.data import sparse_vector
 from coal.oracle import (
     LabelState,
+    RIDGE,
     LinearRegressor,
     WeightedPoint,
     empirical_risk,
@@ -184,6 +185,16 @@ def test_added_point_monotonicity():
         assert res_big <= res_small + 1e-8
 
 
+def projected_gradient(gram, moment, bound, start, steps=2000):
+    """Reference minimiser of w'Gw - 2b'w over ||w|| <= bound."""
+    step = 1.0 / (2.0 * max(np.linalg.eigvalsh(gram)[-1], 1e-12))
+    v = start
+    for _ in range(steps):
+        v = v - step * 2.0 * (gram @ v - moment)
+        v = v * min(1.0, bound / np.linalg.norm(v))
+    return v
+
+
 def test_solve_bounded_matches_closed_form_on_diagonal():
     # min (w1-1)^2 + (w2-2)^2 s.t. ||w|| <= 1: radial projection of (1, 2)
     gram = np.eye(2)
@@ -191,6 +202,30 @@ def test_solve_bounded_matches_closed_form_on_diagonal():
     w = solve_bounded_least_squares(gram, moment, bound=1.0)
     expected = moment / np.linalg.norm(moment)
     assert np.allclose(w, expected, atol=1e-9)
+
+    # random non-diagonal PSD grams (some rank-deficient) with the ball
+    # active: the KKT solution sits on the sphere and no feasible reference
+    # point, radial projection or projected gradient, has a lower objective
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        d = int(rng.integers(2, 6))
+        rows = rng.normal(size=(int(rng.integers(1, 2 * d)), d))
+        gram = rows.T @ rows * float(rng.uniform(0.1, 10.0))
+        moment = gram @ rng.normal(size=d) + 0.1 * rng.normal(size=d)
+        free = np.linalg.solve(gram + RIDGE * np.eye(d), moment)
+        bound = float(rng.uniform(0.05, 0.95)) * min(np.linalg.norm(free), 10.0)
+        w = solve_bounded_least_squares(gram, moment, bound)
+        assert abs(np.linalg.norm(w) - bound) <= 1e-9
+
+        def objective(v):
+            return float(v @ gram @ v - 2.0 * (moment @ v))
+
+        radial = free * (bound / np.linalg.norm(free))
+        reference = projected_gradient(gram, moment, bound, radial)
+        obj = objective(w)
+        slack = 1e-12 * max(1.0, abs(obj))
+        assert obj <= objective(radial) + slack
+        assert obj <= objective(reference) + slack
 
 
 def test_label_state_enforces_round_order_and_cost_range():
