@@ -1,6 +1,7 @@
 """Command-line front end for running cost-sensitive active learning curves.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error (including a
+dataset too wide for the memory its mode needs).
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ def main(argv=None):
             print(f"wrote {len(stream)} examples to {args.emit_stream}")
             return 0
         table = run_experiment(cfg)
-    except (ParseError, DataError) as exc:
+    except (ParseError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's message names the array shape
+        print(f"data error: out of memory in {args.mode} mode: {exc}", file=sys.stderr)
         return 3
 
     print(f"curve rows written to {table.curve_path}")

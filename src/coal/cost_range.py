@@ -213,11 +213,9 @@ class RangeProblem:
 
     def __init__(self, x, state, bound):
         self.x = x.to_dense(state.dim) if hasattr(x, "to_dense") else np.asarray(x, float)
-        self.state = state
         self.bound = float(bound)
         self.xx = np.outer(self.x, self.x)
         rounds, counts, budgets, radii = state.constraint_view()
-        self.rounds = rounds
         self.budgets = budgets
         self.radii = radii
         self.denoms = (rounds - 1).astype(np.float64)

@@ -62,9 +62,11 @@ class QueryDecision:
 class LearnerState:
     """Mutable state of one learner run over a stream.
 
-    Holds per-label query histories and ledgers, the exact-mode regressors,
-    the online weight/accumulator matrices, the query log, and the round
-    counter (1-based: round = processed examples + 1).
+    Holds one LabelState per label, the exact-mode regressors, the online
+    weight/accumulator matrices, the query log, and the round counter
+    (1-based: round = processed examples + 1). The LabelStates keep history
+    and ledger only under track_exact_ledger (exact mode's default), so an
+    online run keeps O(K * dim) state.
     """
 
     def __init__(
@@ -86,7 +88,6 @@ class LearnerState:
         if k < 2:
             raise ValueError("need at least two labels")
         self.k = k
-        self.dim = dim
         self.schedule = schedule
         self.policy = policy
         self.mode = mode
@@ -191,10 +192,10 @@ def process_example(state, x):
 def observe_costs(state, x, decision, costs):
     """Fold queried costs into the state and close the round.
 
-    Appends query history for each queried label, records the query log,
-    refreshes the exact regressors and the risk ledger (when tracked), and
-    advances the round counter. Raises ContractError if the decision is stale
-    or a queried cost is unobserved.
+    Updates the online regressors (online mode) and records the query log;
+    when the ledger is tracked, appends the query history and refreshes the
+    exact regressors and the risk ledger. Advances the round counter. Raises
+    ContractError if the decision is stale or a queried cost is unobserved.
     """
     if decision.round != state.round:
         raise ContractError(
@@ -207,7 +208,8 @@ def observe_costs(state, x, decision, costs):
     i = state.round
     for y in decision.to_query:
         c = costs.cost_of(y)
-        state.labels[y - 1].append_point(i, x, c)
+        if state.track_exact_ledger:
+            state.labels[y - 1].append_point(i, x, c)
         if state.mode == "online":
             online_update(state.online_regressor(y), x, c, 1.0)
     state.log.record(decision.to_query)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost_range import DEFAULT_KAPPA, DEFAULT_NORM_BOUND, DEFAULT_SETTINGS, RadiusSchedule
+from .cost_range import DEFAULT_KAPPA, DEFAULT_NORM_BOUND, RadiusSchedule
 from .data import (
     DataError,
     parse_example,
@@ -134,7 +134,6 @@ class ExperimentConfig:
     radius_mode: str = "mellow"
     kappa: float = DEFAULT_KAPPA
     test_fraction: float = 0.2
-    mw_settings: object = DEFAULT_SETTINGS
     synthetic_seed_base: int = 1_000_000
     seed_passive: int = 0
 
@@ -369,7 +368,6 @@ def run_seed(cfg, seed, train, test, k, dim):
         mode=cfg.mode,
         base_rate=cfg.learning_rate,
         norm_bound=cfg.norm_bound,
-        settings=cfg.mw_settings,
     )
     points = []
     next_q = 1

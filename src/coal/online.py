@@ -58,14 +58,6 @@ class OnlineRegressor:
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
 
-    @classmethod
-    def zeros(cls, dim, base_rate):
-        return cls(np.zeros(dim), np.zeros(dim), base_rate)
-
-    @property
-    def dim(self):
-        return int(self.weights.size)
-
     def raw(self, x):
         return x.dot(self.weights)
 

@@ -1,8 +1,8 @@
 """Norm-bounded weighted least squares and per-label query history.
 
-The learner keeps, for every label, the queried (round, features, cost)
-triples plus a ledger of per-round empirical-risk bounds. Regressors are
-linear with an L2 norm bound; fitting solves
+In exact mode the learner keeps, for every label, the cumulative sums of its
+queried (features, cost) pairs plus a ledger of per-round empirical-risk
+bounds. Regressors are linear with an L2 norm bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
@@ -38,10 +38,6 @@ class LinearRegressor:
         n = float(np.linalg.norm(w))
         if n > self.norm_bound + 1e-8:
             raise ValueError(f"weight norm {n} exceeds bound {self.norm_bound}")
-
-    @property
-    def dim(self):
-        return int(self.weights.size)
 
 
 @dataclass(frozen=True)
@@ -140,6 +136,8 @@ class LabelState:
     moments of their (features, cost), so the empirical risk of any weight
     vector on any prefix is a single quadratic form. The ledger holds one
     entry per completed round from round 2 on; rounds strictly increase.
+    Only a tracked ledger appends points, and nothing of size dim^2 exists
+    before the first one: the empty prefix's sums are built on demand.
     """
 
     def __init__(self, label, dim):
@@ -147,9 +145,9 @@ class LabelState:
         self.dim = dim
         self.rounds = []
         self.ledger = []
-        self._cum_gram = [np.zeros((dim, dim))]
-        self._cum_moment = [np.zeros(dim)]
-        self._cum_sq = [0.0]
+        self._cum_gram = []  # sums over the first 1, 2, ... points
+        self._cum_moment = []
+        self._cum_sq = []
         # earliest ledger entry per distinct point count: the binding
         # constraint of each no-query stretch (later rounds only relax it)
         self._dedup = []
@@ -163,18 +161,22 @@ class LabelState:
             raise ValueError("query rounds must be strictly increasing")
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
+        g, h, s = self.prefix_sums(self.n_points)
         self.rounds.append(round_i)
         xd = x.to_dense(self.dim)
-        self._cum_gram.append(self._cum_gram[-1] + np.outer(xd, xd))
-        self._cum_moment.append(self._cum_moment[-1] + cost * xd)
-        self._cum_sq.append(self._cum_sq[-1] + cost * cost)
+        self._cum_gram.append(g + np.outer(xd, xd))
+        self._cum_moment.append(h + cost * xd)
+        self._cum_sq.append(s + cost * cost)
 
     def n_points_before(self, round_j):
         """How many queried points lie in rounds < round_j."""
         return bisect.bisect_left(self.rounds, round_j)
 
     def prefix_sums(self, count):
-        return self._cum_gram[count], self._cum_moment[count], self._cum_sq[count]
+        """(Gram, moment, sum of squared costs) of the first count points."""
+        if count == 0:
+            return np.zeros((self.dim, self.dim)), np.zeros(self.dim), 0.0
+        return self._cum_gram[count - 1], self._cum_moment[count - 1], self._cum_sq[count - 1]
 
     def risk_of_weights(self, weights, round_j):
         """Empirical risk of raw predictions on the prefix before round_j."""
@@ -220,14 +222,10 @@ class LabelState:
 
     def prefix_stack(self, counts):
         """Stacked cumulative sums for several prefixes at once."""
-        g = np.stack([self._cum_gram[c] for c in counts]) if len(counts) else np.zeros(
-            (0, self.dim, self.dim)
-        )
-        h = np.stack([self._cum_moment[c] for c in counts]) if len(counts) else np.zeros(
-            (0, self.dim)
-        )
-        s = np.array([self._cum_sq[c] for c in counts])
-        return g, h, s
+        if not len(counts):
+            return np.zeros((0, self.dim, self.dim)), np.zeros((0, self.dim)), np.zeros(0)
+        g, h, s = zip(*(self.prefix_sums(c) for c in counts))
+        return np.stack(g), np.stack(h), np.array(s)
 
 
 def empirical_risk(regressor, state, round_i):

@@ -25,35 +25,43 @@ from coal import cli, cost_range, driver, harness, oracle
 
 tracer = Tracer()
 tracer.install((cli, harness, driver, cost_range, oracle), False)
-for mode, n in (("exact", 12), ("online", 40)):
-    harness.run_experiment(
-        harness.ExperimentConfig(
-            synthetic=harness.parse_synthetic_spec(f"massart:k=3,dim=3,n={n}"),
-            mode=mode,
-            seeds=1,
-            out_dir="",
-        )
+harness.run_experiment(
+    harness.ExperimentConfig(
+        synthetic=harness.parse_synthetic_spec(f"massart:k=3,dim=3,n={sys.argv[4]}"),
+        mode=sys.argv[3],
+        seeds=1,
+        out_dir="",
     )
+)
 print(json.dumps(tracer.layer_metrics()))
 """
 
 
-def test_traced_run_reaches_every_layer():
+def traced_metrics(mode, n):
+    """Per-layer metrics of one traced run, under a tracer of its own."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), mode, str(n)]
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", SCRIPT, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
-    assert metrics["cost_range.games"] > 0
-    assert metrics["cost_range.problems"] > 0
-    assert metrics["oracle.ball_fallbacks"] > 0
-    assert metrics["oracle.erm_weights.calls"] > 0
-    assert metrics["oracle.append_point.calls"] > 0
-    assert metrics["online.batch_cost_ranges.calls"] > 0
-    assert metrics["online.online_update.calls"] > 0
-    assert metrics["driver.process_example.calls"] > 0
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_run_reaches_every_layer():
+    exact = traced_metrics("exact", 12)
+    assert exact["cost_range.games"] > 0
+    assert exact["cost_range.problems"] > 0
+    assert exact["oracle.ball_fallbacks"] > 0
+    assert exact["oracle.erm_weights.calls"] > 0
+    assert exact["oracle.append_point.calls"] > 0
+    assert exact["driver.process_example.calls"] > 0
+    online = traced_metrics("online", 40)
+    assert online["online.batch_cost_ranges.calls"] > 0
+    assert online["online.online_update.calls"] > 0
+    # online mode reads no ledger, so it writes no exact history either
+    assert online["oracle.append_point.calls"] == 0

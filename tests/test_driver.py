@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,11 +198,29 @@ def test_online_observe_updates_view_backed_regressors():
 
 
 def test_online_ledger_tracking_opt_in():
-    state = fresh_state(mode="online", track_exact_ledger=True)
-    decision = process_example(state, BIAS)
-    observe_costs(state, BIAS, decision, full_costs([0.2, 0.8]))
-    for label_state in state.labels:
-        assert len(label_state.ledger) == 1
+    # only a tracked ledger writes the per-label history; passive queries all
+    cases = (("online", None, 0), ("online", True, 3), ("exact", None, 3))
+    for mode, track, recorded in cases:
+        state = fresh_state(policy="passive", mode=mode, track_exact_ledger=track)
+        for _ in range(3):
+            decision = process_example(state, BIAS)
+            observe_costs(state, BIAS, decision, full_costs([0.2, 0.8]))
+        for label_state in state.labels:
+            assert label_state.n_points == recorded
+            assert len(label_state.ledger) == recorded
+
+
+def test_online_state_allocates_no_dim_squared_arrays():
+    # dim^2 floats per label would be 20 GB here: a dense allocation either
+    # fails or, on an overcommitting host, reserves pages nothing touches
+    tracemalloc.start()
+    try:
+        state = LearnerState(5, 50_000, mellow_schedule(d=50_000, k=5), mode="online")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert all(label_state.n_points == 0 for label_state in state.labels)
 
 
 def test_query_flow_over_stream_invariants():

@@ -408,6 +408,45 @@ def test_cli_rejects_partial_costs_without_hierarchy(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "tree")]) == 0
 
 
+def wide_dataset(tmp_path):
+    """60 lines of 3 labels whose sparse features reach index 49 999."""
+    rng = np.random.default_rng(11)
+    lines = []
+    for n in range(60):
+        idx = sorted(rng.choice(np.arange(1, 49_999), size=4, replace=False))
+        idx += [49_999] * (n == 0)
+        costs = " ".join(f"{y}:{c:.3f}" for y, c in enumerate(rng.uniform(size=3), start=1))
+        feats = " ".join(f"{i}:{rng.normal():.3f}" for i in idx)
+        lines.append(f"{costs} | {feats}\n")
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_cli_online_runs_a_dataset_too_wide_for_dense_grams(tmp_path, capsys):
+    argv = ["--data", str(wide_dataset(tmp_path)), "--seeds", "1", "--budget-base", "1"]
+    assert main(argv + ["--mode", "online", "--out", str(tmp_path / "out")]) == 0
+    assert "auc median" in capsys.readouterr().out
+
+
+def test_cli_reports_out_of_memory_without_traceback(tmp_path, monkeypatch, capsys):
+    # exact mode needs a 50000 x 50000 Gram here; raise numpy's error instead
+    # of allocating it, since an overcommitting host would hand out the pages
+    def too_wide(cfg):
+        raise MemoryError(
+            "Unable to allocate 18.6 GiB for an array with shape (50000, 50000) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr("coal.cli.run_experiment", too_wide)
+    argv = ["--data", str(wide_dataset(tmp_path)), "--mode", "exact", "--out", ""]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error: out of memory in exact mode")
+    assert "(50000, 50000)" in err and "Traceback" not in err
+
+
 def test_readme_flag_defaults_match_parser():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(--[a-z-]+)[^`]*` \|([^|]*)\|", readme, re.MULTILINE)
