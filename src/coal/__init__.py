@@ -16,9 +16,6 @@ from .cost_range import (
     RadiusSchedule,
     cost_interval,
     eps_bound,
-    max_cost,
-    min_cost,
-    mw_feasibility,
     radius,
     separation_oracle,
 )
@@ -58,20 +55,13 @@ from .harness import (
     parse_synthetic_spec,
     run_experiment,
 )
-from .online import (
-    OnlineRegressor,
-    approx_cost_range,
-    online_update,
-    sensitivity,
-)
+from .online import OnlineRegressor, online_update
 from .oracle import (
     LabelState,
     LedgerEntry,
     LinearRegressor,
     WeightedPoint,
-    empirical_risk,
     fit_weighted,
-    predict,
 )
 from .synthetic import (
     GroundTruth,

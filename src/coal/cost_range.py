@@ -212,7 +212,7 @@ class RangeProblem:
     """
 
     def __init__(self, x, state, bound):
-        self.x = x.to_dense(state.dim) if hasattr(x, "to_dense") else np.asarray(x, float)
+        self.x = x.to_dense(state.dim)
         self.bound = float(bound)
         self.xx = np.outer(self.x, self.x)
         rounds, counts, budgets, radii = state.constraint_view()
@@ -293,11 +293,6 @@ class RangeProblem:
             violations=np.maximum(avg - bounds, 0.0),
             iterations=it,
         )
-
-
-def mw_feasibility(c, t, x, state, cfg, bound=DEFAULT_NORM_BOUND, settings=DEFAULT_SETTINGS):
-    """Feasibility of squared distance c to target t at point x."""
-    return RangeProblem(x, state, bound).run(c, t, cfg, settings)
 
 
 def separation_oracle(mu, t, x, state, bound=DEFAULT_NORM_BOUND):

@@ -383,7 +383,3 @@ class QueryLog:
         if n:
             self.l1 += 1
             self.l2 += n
-
-    def queried(self, round_index, label):
-        """Was (round, label) queried? round_index is 1-based."""
-        return bool(self.masks[round_index - 1] >> (label - 1) & 1)

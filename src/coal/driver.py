@@ -62,8 +62,10 @@ class QueryDecision:
 class LearnerState:
     """Mutable state of one learner run over a stream.
 
-    Holds one LabelState per label, the exact-mode regressors, the online
-    weight/accumulator matrices, the query log, and the round counter
+    Holds one LabelState per label, the (K, dim) weight table that predicts
+    every label's cost in both modes (exact mode stores each label's refit ERM
+    in its row, online mode updates the rows in place), the online step-size
+    accumulators (None in exact mode), the query log, and the round counter
     (1-based: round = processed examples + 1). The LabelStates keep history
     and ledger only under track_exact_ledger (exact mode's default), so an
     online run keeps O(K * dim) state.
@@ -99,28 +101,15 @@ class LearnerState:
         )
         self.round = 1
         self.labels = [LabelState(y, dim) for y in range(1, k + 1)]
-        self.erms = [LinearRegressor(np.zeros(dim), norm_bound) for _ in range(k)]
-        self.online_weights = np.zeros((k, dim))
-        self.online_accumulators = np.zeros((k, dim))
+        self.weights = np.zeros((k, dim))
+        self.accumulators = np.zeros((k, dim)) if mode == "online" else None
         self.log = QueryLog(k)
-
-    def online_regressor(self, label):
-        """View-backed streaming regressor for one label; mutations stick."""
-        return OnlineRegressor(
-            self.online_weights[label - 1],
-            self.online_accumulators[label - 1],
-            self.base_rate,
-        )
 
     def predicted_costs(self, x):
         """Current clamped cost predictions, one per label."""
-        if self.mode == "online":
-            if x.nnz == 0:
-                return np.zeros(self.k)
-            raw = self.online_weights[:, x.indices] @ x.values
-        else:
-            raw = np.array([x.dot(g.weights) for g in self.erms])
-        return np.clip(raw, 0.0, 1.0)
+        if x.nnz == 0:
+            return np.zeros(self.k)
+        return np.clip(self.weights[:, x.indices] @ x.values, 0.0, 1.0)
 
 
 def _decide(policy, los, his, threshold):
@@ -150,8 +139,8 @@ def process_example(state, x):
     delta_i = radius(i, state.schedule)
     if state.mode == "online":
         los, his = batch_cost_ranges(
-            state.online_weights,
-            state.online_accumulators,
+            state.weights,
+            state.accumulators,
             state.base_rate,
             x,
             delta_i,
@@ -193,9 +182,10 @@ def observe_costs(state, x, decision, costs):
     """Fold queried costs into the state and close the round.
 
     Updates the online regressors (online mode) and records the query log;
-    when the ledger is tracked, appends the query history and refreshes the
-    exact regressors and the risk ledger. Advances the round counter. Raises
-    ContractError if the decision is stale or a queried cost is unobserved.
+    when the ledger is tracked, appends the query history, refits each
+    label's ERM for the risk ledger and, in exact mode, stores it as that
+    label's predictor. Advances the round counter. Raises ContractError if
+    the decision is stale or a queried cost is unobserved.
     """
     if decision.round != state.round:
         raise ContractError(
@@ -211,14 +201,19 @@ def observe_costs(state, x, decision, costs):
         if state.track_exact_ledger:
             state.labels[y - 1].append_point(i, x, c)
         if state.mode == "online":
-            online_update(state.online_regressor(y), x, c, 1.0)
+            # the regressor views the label's rows, so the update writes the tables
+            rows = state.weights[y - 1], state.accumulators[y - 1]
+            online_update(OnlineRegressor(*rows, state.base_rate), x, c, 1.0)
     state.log.record(decision.to_query)
 
     if state.track_exact_ledger:
         delta_next = radius(i + 1, state.schedule)
         for idx, label_state in enumerate(state.labels):
-            weights = label_state.erm_weights(i + 1, state.norm_bound)
-            state.erms[idx] = LinearRegressor(weights, state.norm_bound)
+            weights = LinearRegressor(
+                label_state.erm_weights(i + 1, state.norm_bound), state.norm_bound
+            ).weights
+            if state.mode == "exact":
+                state.weights[idx] = weights
             risk = label_state.risk_of_weights(weights, i + 1)
             label_state.append_ledger(i + 1, risk, delta_next)
 

@@ -232,10 +232,18 @@ def _scan_max_label(lines):
     return top
 
 
+def _read_lines(path):
+    """Lines of a UTF-8 text file; any other encoding is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_dataset(path, k=None):
     """Parse a text dataset; k defaults to the largest label mentioned."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path)
     if k is None:
         k = _scan_max_label(lines)
     examples = [parse_example(line, k, lineno) for lineno, line in _data_lines(lines)]
@@ -253,8 +261,7 @@ def _require_full_costs(path, examples):
     for j, ex in enumerate(examples):
         if not ex.costs.observed.all():
             missing = np.flatnonzero(~ex.costs.observed) + 1
-            with open(path, encoding="utf-8") as fh:
-                lineno = [n for n, _ in _data_lines(fh)][j]
+            lineno = [n for n, _ in _data_lines(_read_lines(path))][j]
             raise DataError(
                 f"{path} line {lineno}: no cost for label(s) "
                 f"{', '.join(map(str, missing))}; without a hierarchy every line "
@@ -263,8 +270,7 @@ def _require_full_costs(path, examples):
 
 
 def load_hierarchy(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_hierarchy(fh.readlines())
+    return parse_hierarchy(_read_lines(path))
 
 
 def fill_hierarchy_costs(examples, hierarchy, scale=None):
@@ -320,6 +326,9 @@ def _load_streams(cfg):
     if cfg.dataset is not None:
         hierarchy = load_hierarchy(cfg.hierarchy) if cfg.hierarchy else None
         examples, k = load_dataset(cfg.dataset, hierarchy.k if hierarchy else None)
+        if k < 2:
+            source = cfg.hierarchy or cfg.dataset
+            raise DataError(f"{source} has {k} label; the learner needs at least two")
         if hierarchy:
             examples = fill_hierarchy_costs(examples, hierarchy)
         else:

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_range import CostInterval
-
 ACCUM_FLOOR = 1e-12
 
 
@@ -60,9 +58,6 @@ class OnlineRegressor:
 
     def raw(self, x):
         return x.dot(self.weights)
-
-    def predict(self, x):
-        return min(1.0, max(0.0, self.raw(x)))
 
 
 def online_update(regressor, x, cost, weight):
@@ -138,19 +133,6 @@ def _break_even(p_sq_gap, s, delta, cap):
     gap = math.sqrt(p_sq_gap)
     u = _gap_fraction(np.asarray(delta * s / gap**3))
     return min(float(u) * gap / s, cap)
-
-
-def approx_cost_range(regressor, x, delta):
-    """Cost interval reachable within risk budget delta around the prediction.
-
-    The one-regressor case of batch_cost_ranges.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    lo, hi = batch_cost_ranges(
-        regressor.weights[None], regressor.accumulators[None], regressor.base_rate, x, delta
-    )
-    return CostInterval(lo=float(lo[0]), hi=float(hi[0]), tol=0.0)
 
 
 def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):

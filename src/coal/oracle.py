@@ -55,16 +55,6 @@ class WeightedPoint:
             raise ValueError("point cost must lie in [0, 1]")
 
 
-def raw_prediction(regressor, x):
-    """Unclamped linear prediction; used inside risks and the MW solver."""
-    return x.dot(regressor.weights)
-
-
-def predict(regressor, x):
-    """Predicted cost, clamped to [0, 1]."""
-    return min(1.0, max(0.0, raw_prediction(regressor, x)))
-
-
 def solve_bounded_least_squares(gram, moment, bound, ridge=RIDGE):
     """argmin_w w'Gw - 2 b'w subject to ||w|| <= bound.
 
@@ -179,7 +169,11 @@ class LabelState:
         return self._cum_gram[count - 1], self._cum_moment[count - 1], self._cum_sq[count - 1]
 
     def risk_of_weights(self, weights, round_j):
-        """Empirical risk of raw predictions on the prefix before round_j."""
+        """Empirical risk of raw predictions on the prefix before round_j.
+
+        Normalized by (round_j - 1) however many of those rounds queried this
+        label; rounds 0 and 1 have zero risk by convention.
+        """
         if round_j <= 1:
             return 0.0
         k = self.n_points_before(round_j)
@@ -226,12 +220,3 @@ class LabelState:
             return np.zeros((0, self.dim, self.dim)), np.zeros((0, self.dim)), np.zeros(0)
         g, h, s = zip(*(self.prefix_sums(c) for c in counts))
         return np.stack(g), np.stack(h), np.array(s)
-
-
-def empirical_risk(regressor, state, round_i):
-    """Average squared loss of raw predictions over rounds before round_i.
-
-    Normalized by (round_i - 1) regardless of how many of those rounds were
-    queried for this label; rounds 0 and 1 have zero risk by convention.
-    """
-    return state.risk_of_weights(regressor.weights, round_i)

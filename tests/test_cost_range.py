@@ -14,7 +14,6 @@ from coal.cost_range import (
     max_cost,
     min_cost,
     mw_config_for,
-    mw_feasibility,
     mw_iterations,
     radius,
     separation_oracle,
@@ -233,7 +232,7 @@ def test_separation_all_zero_mu_returns_zero_regressor():
 def test_mw_empty_ledger_is_feasible():
     state = LabelState(1, dim=1)
     cfg = mw_config_for(1, 50, rho=3.0)
-    res = mw_feasibility(1.0, 1, X1, state, cfg, bound=10.0)
+    res = RangeProblem(X1, state, 10.0).run(1.0, 1, cfg)
     assert res.feasible
     assert res.iterations == 1  # no adversary to play against
     assert res.value_averages[0] == pytest.approx(0.0, abs=1e-9)
@@ -243,7 +242,7 @@ def test_mw_pinned_class_reports_infeasible():
     # version space pins g(x) to ~0.2; (g-1)^2 <= 0 is hopeless
     state = single_point_state(cost=0.2, delta=1e-6)
     cfg = mw_config_for(2, 2000, rho=3.0)
-    res = mw_feasibility(0.0, 1, X1, state, cfg, bound=10.0)
+    res = RangeProblem(X1, state, 10.0).run(0.0, 1, cfg)
     assert not res.feasible
     assert res.certificate_value >= res.threshold + 1e-9
     assert res.weights.size == 2
@@ -253,7 +252,7 @@ def test_mw_feasible_guess_never_certified():
     # guess far above the true optimum: must come back feasible
     state = single_point_state(cost=0.2, delta=0.01)
     cfg = mw_config_for(2, 500, rho=3.0)
-    res = mw_feasibility(0.9, 1, X1, state, cfg, bound=10.0)
+    res = RangeProblem(X1, state, 10.0).run(0.9, 1, cfg)
     assert res.feasible
 
 
@@ -269,7 +268,7 @@ def test_mw_average_violations_within_theorem_slack():
         probe = sparse_vector([(0, 1.0), (1, float(rng.normal()))])
         t_budget = 400
         cfg = mw_config_for(2, t_budget, rho=3.0)
-        res = mw_feasibility(1.0, 1, probe, state, cfg, bound=2.0, settings=settings)
+        res = RangeProblem(probe, state, 2.0).run(1.0, 1, cfg, settings)
         assert res.feasible
         bound = 2.0 * cfg.rho * math.sqrt(math.log(2) / cfg.t)
         assert res.violations.max(initial=0.0) <= bound + 1e-12

@@ -49,21 +49,32 @@ def test_state_validation():
 
 def test_predict_label_argmin():
     state = fresh_state(k=3, dim=3, mode="online")
-    state.online_weights[:] = [[0.2, 0, 0], [0.5, 0, 0], [0.9, 0, 0]]
+    state.weights[:] = [[0.2, 0, 0], [0.5, 0, 0], [0.9, 0, 0]]
     assert predict_label(state, BIAS) == 1
-    state.online_weights[:] = [[0.9, 0, 0], [0.2, 0, 0], [0.5, 0, 0]]
+    state.weights[:] = [[0.9, 0, 0], [0.2, 0, 0], [0.5, 0, 0]]
     assert predict_label(state, BIAS) == 2
 
 
 def test_predict_label_tie_breaks_low():
     state = fresh_state(k=2, dim=1, mode="online")
-    state.online_weights[:] = [[0.3], [0.3]]
+    state.weights[:] = [[0.3], [0.3]]
     assert predict_label(state, BIAS) == 1
 
 
 def test_predict_label_all_zero():
     state = fresh_state(k=3, dim=2, mode="online")
     assert predict_label(state, BIAS) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "online"])
+def test_predicted_costs_clamps(mode):
+    state = fresh_state(k=4, dim=1, mode=mode)
+    state.weights[:] = [[0.0], [1.7], [0.42], [-0.3]]
+    assert state.predicted_costs(BIAS) == pytest.approx([0.0, 1.0, 0.42, 0.0])
+    assert state.predicted_costs(sparse_vector([(0, 2.0)])) == pytest.approx(
+        [0.0, 1.0, 0.84, 0.0]
+    )
+    assert not state.predicted_costs(sparse_vector([])).any()
 
 
 def test_decide_domination_anchor():
@@ -191,9 +202,9 @@ def test_online_observe_updates_view_backed_regressors():
     state.round = 3
     decision = QueryDecision(3, (), (1, 2), (1,), psi(3))
     observe_costs(state, BIAS, decision, full_costs([1.0, 0.0]))
-    assert state.online_weights[0, 0] > 0.0  # moved toward cost 1
-    assert state.online_weights[1, 0] == 0.0
-    assert state.online_accumulators[0, 0] == 1.0
+    assert state.weights[0, 0] > 0.0  # moved toward cost 1
+    assert state.weights[1, 0] == 0.0
+    assert state.accumulators[0, 0] == 1.0
     assert not state.labels[1].ledger  # online mode leaves the ledger off
 
 
@@ -212,15 +223,44 @@ def test_online_ledger_tracking_opt_in():
 
 def test_online_state_allocates_no_dim_squared_arrays():
     # dim^2 floats per label would be 20 GB here: a dense allocation either
-    # fails or, on an overcommitting host, reserves pages nothing touches
-    tracemalloc.start()
-    try:
-        state = LearnerState(5, 50_000, mellow_schedule(d=50_000, k=5), mode="online")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
-    assert all(label_state.n_points == 0 for label_state in state.labels)
+    # fails or, on an overcommitting host, reserves pages nothing touches.
+    # One 5 x 50 000 table is 1.9 MiB: online mode holds two (weights and
+    # accumulators), exact mode one
+    for mode, limit in (("online", 4.5), ("exact", 2.5)):
+        tracemalloc.start()
+        try:
+            state = LearnerState(5, 50_000, mellow_schedule(d=50_000, k=5), mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, mode
+        assert all(label_state.n_points == 0 for label_state in state.labels)
+    assert state.accumulators is None
+
+
+def test_tracked_ledger_leaves_online_weights_alone():
+    stream, _ = gen_stream(3, 3, massart(0.3), 6, seed=3)
+    tables = []
+    for track in (False, True):
+        state = fresh_state(k=3, dim=4, policy="passive", mode="online", track_exact_ledger=track)
+        for ex in stream:
+            decision = process_example(state, ex.features)
+            observe_costs(state, ex.features, decision, ex.costs)
+        tables.append(state.weights)
+    assert tables[0].any()
+    assert np.array_equal(tables[0], tables[1])
+
+
+def test_exact_weights_are_the_refit_erms():
+    stream, _ = gen_stream(3, 3, massart(0.3), 6, seed=4)
+    state = fresh_state(k=3, dim=4, policy="passive")
+    for ex in stream:
+        decision = process_example(state, ex.features)
+        observe_costs(state, ex.features, decision, ex.costs)
+        for y, label_state in enumerate(state.labels):
+            erm = label_state.erm_weights(state.round, state.norm_bound)
+            assert np.array_equal(state.weights[y], erm)
+    assert state.weights.any()
 
 
 def test_query_flow_over_stream_invariants():

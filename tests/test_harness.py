@@ -196,7 +196,7 @@ def test_evaluate_test_cost():
         policy="passive",
         mode="online",
     )
-    state.online_weights[:] = [[0.9], [0.1]]
+    state.weights[:] = [[0.9], [0.1]]
     x = sparse_vector([(0, 1.0)])
     tests = [
         LabeledExample(x, full_costs([0.2, 0.7])),
@@ -260,8 +260,7 @@ def test_run_seed_forced_warmup_queries_everything():
     train, _ = gen_stream(3, 3, massart(0.3), 30, seed=400)
     test, _ = gen_stream(3, 3, massart(0.3), 5, seed=401, cost_noise="none")
     _, state = run_seed(cfg, 0, train, test, 3, 4)
-    for round_index in (1, 2, 3):
-        assert all(state.log.queried(round_index, y) for y in (1, 2, 3))
+    assert state.log.masks[:3] == [0b111] * 3
     assert state.log.l2 >= 9
 
 
@@ -406,6 +405,35 @@ def test_cli_rejects_partial_costs_without_hierarchy(tmp_path, capsys):
     tree.write_text("0 0\n1 0\n2 0\n3 0\n", encoding="utf-8")
     argv = ["--data", str(data), "--hierarchy", str(tree), "--seeds", "1"]
     assert main(argv + ["--out", str(tmp_path / "tree")]) == 0
+
+
+@pytest.mark.parametrize("named", ["data.txt", "tree.txt"])
+def test_cli_rejects_a_single_label(named, tmp_path, capsys):
+    # every line names only label 1, or the tree has one leaf
+    (tmp_path / "data.txt").write_text("1:0.2 | 1:0.5\n" * 10, encoding="utf-8")
+    argv = ["--data", str(tmp_path / "data.txt"), "--seeds", "1", "--out", ""]
+    if named == "tree.txt":
+        (tmp_path / "tree.txt").write_text("0 0\n1 0\n", encoding="utf-8")
+        argv += ["--hierarchy", str(tmp_path / "tree.txt")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and named in err and "1 label" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["data", "tree"])
+def test_cli_rejects_files_that_are_not_utf8(bad, tmp_path, capsys):
+    files = {"data": b"1:0.2 2:0.8 | 1:0.5\n" * 9, "tree": b"0 0\n1 0\n2 0\n"}
+    files[bad] += b"# caf\xe9\n"  # Latin-1, not UTF-8
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    argv = ["--data", str(tmp_path / "data"), "--hierarchy", str(tmp_path / "tree")]
+    code = main(argv + ["--seeds", "1", "--out", ""])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and str(tmp_path / bad) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def wide_dataset(tmp_path):

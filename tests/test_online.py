@@ -9,7 +9,6 @@ from coal.data import sparse_vector
 from coal.online import (
     OnlineRegressor,
     _gap_fraction,
-    approx_cost_range,
     batch_cost_ranges,
     online_update,
     sensitivity,
@@ -35,6 +34,12 @@ def random_point(rng, dim=4):
     idx = np.sort(rng.choice(dim, size=size, replace=False))
     vals = rng.uniform(0.2, 1.0, size) * rng.choice([-1.0, 1.0], size)
     return sparse_vector([(int(i), float(v)) for i, v in zip(idx, vals)])
+
+
+def one_range(g, x, delta):
+    """(lo, hi) of one regressor: batch_cost_ranges with a single row."""
+    lo, hi = batch_cost_ranges(g.weights[None], g.accumulators[None], g.base_rate, x, delta)
+    return float(lo[0]), float(hi[0])
 
 
 def test_zero_weight_update_is_noop():
@@ -151,8 +156,8 @@ def test_anchor_sensitivity_unit():
 
 def test_range_collapses_without_sensitivity():
     g = warmed([0.5], [0.25], rate=0.5)
-    iv = approx_cost_range(g, sparse_vector([]), 0.01)
-    assert (iv.lo, iv.hi) == (0.0, 0.0)  # empty point predicts 0 and cannot move
+    # empty point predicts 0 and cannot move
+    assert one_range(g, sparse_vector([]), 0.01) == (0.0, 0.0)
 
 
 def reference_gap_fraction(r):
@@ -180,15 +185,10 @@ def test_range_anchor_cubic_root():
     ]
     for accum, delta, lo in cases:
         g = warmed([0.5], [accum], rate=0.5)
-        iv = approx_cost_range(g, X1, delta)
-        batch_lo, batch_hi = batch_cost_ranges(
-            g.weights[None], g.accumulators[None], 0.5, X1, delta
-        )
+        range_lo, range_hi = one_range(g, X1, delta)
         # p = 0.5 sits mid-way, so both sides move by the same amount
-        assert iv.lo == pytest.approx(lo, abs=2e-6)
-        assert iv.hi == pytest.approx(1.0 - lo, abs=2e-6)
-        assert batch_lo[0] == pytest.approx(lo, abs=2e-6)
-        assert batch_hi[0] == pytest.approx(1.0 - lo, abs=2e-6)
+        assert range_lo == pytest.approx(lo, abs=2e-6)
+        assert range_hi == pytest.approx(1.0 - lo, abs=2e-6)
 
 
 def test_gap_fraction_matches_bisection():
@@ -208,9 +208,7 @@ def test_gap_fraction_matches_bisection():
 
 def test_range_saturates_for_huge_budget():
     g = warmed([0.5], [0.25], rate=0.5)
-    iv = approx_cost_range(g, X1, 1e9)
-    assert iv.lo == 0.0
-    assert iv.hi == 1.0
+    assert one_range(g, X1, 1e9) == (0.0, 1.0)
 
 
 def test_range_contains_prediction():
@@ -218,9 +216,9 @@ def test_range_contains_prediction():
     for _ in range(100):
         g = random_state(rng)
         x = random_point(rng)
-        iv = approx_cost_range(g, x, float(rng.uniform(0.0001, 1.0)))
-        p = g.predict(x)
-        assert iv.lo - 1e-12 <= p <= iv.hi + 1e-12
+        lo, hi = one_range(g, x, float(rng.uniform(0.0001, 1.0)))
+        p = min(1.0, max(0.0, g.raw(x)))
+        assert lo - 1e-12 <= p <= hi + 1e-12
 
 
 def test_range_shrinks_with_budget():
@@ -230,16 +228,10 @@ def test_range_shrinks_with_budget():
         x = random_point(rng)
         d_small = float(rng.uniform(0.0001, 0.5))
         d_big = d_small + float(rng.uniform(0.0, 1.0))
-        small = approx_cost_range(g, x, d_small)
-        big = approx_cost_range(g, x, d_big)
-        assert big.lo <= small.lo + 1e-9
-        assert big.hi >= small.hi - 1e-9
-
-
-def test_range_rejects_negative_budget():
-    g = warmed([0.5], [0.25])
-    with pytest.raises(ValueError):
-        approx_cost_range(g, X1, -0.1)
+        small_lo, small_hi = one_range(g, x, d_small)
+        big_lo, big_hi = one_range(g, x, d_big)
+        assert big_lo <= small_lo + 1e-9
+        assert big_hi >= small_hi - 1e-9
 
 
 @given(st.floats(min_value=0.05, max_value=1.0), st.floats(min_value=0.05, max_value=5.0))
@@ -264,9 +256,9 @@ def test_batch_matches_scalar_op():
         lo, hi = batch_cost_ranges(weights, accums, rate, x, deltas)
         for y in range(k):
             g = OnlineRegressor(weights[y].copy(), accums[y].copy(), rate)
-            iv = approx_cost_range(g, x, float(deltas[y]))
-            assert lo[y] == pytest.approx(iv.lo, abs=1e-12)
-            assert hi[y] == pytest.approx(iv.hi, abs=1e-12)
+            one_lo, one_hi = one_range(g, x, float(deltas[y]))
+            assert lo[y] == pytest.approx(one_lo, abs=1e-12)
+            assert hi[y] == pytest.approx(one_hi, abs=1e-12)
 
 
 def test_batch_broadcasts_scalar_delta():
@@ -274,6 +266,6 @@ def test_batch_broadcasts_scalar_delta():
     accums = np.array([[0.25], [1.0]])
     lo, hi = batch_cost_ranges(weights, accums, 0.5, X1, 0.01)
     g0 = warmed([0.5], [0.25], rate=0.5)
-    iv0 = approx_cost_range(g0, X1, 0.01)
-    assert lo[0] == pytest.approx(iv0.lo, abs=2e-6)
-    assert hi[0] == pytest.approx(iv0.hi, abs=2e-6)
+    one_lo, one_hi = one_range(g0, X1, 0.01)
+    assert lo[0] == pytest.approx(one_lo, abs=2e-6)
+    assert hi[0] == pytest.approx(one_hi, abs=2e-6)

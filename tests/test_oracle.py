@@ -9,10 +9,7 @@ from coal.oracle import (
     RIDGE,
     LinearRegressor,
     WeightedPoint,
-    empirical_risk,
     fit_weighted,
-    predict,
-    raw_prediction,
     solve_bounded_least_squares,
 )
 
@@ -23,19 +20,19 @@ def pt(pairs, cost, weight=1.0):
 
 def test_fit_single_point_interpolates():
     g = fit_weighted([pt([(0, 1.0)], 0.5)], bound=10.0)
-    assert predict(g, sparse_vector([(0, 1.0)])) == pytest.approx(0.5, abs=1e-9)
+    assert sparse_vector([(0, 1.0)]).dot(g.weights) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_two_points_same_x_averages():
     g = fit_weighted([pt([(0, 1.0)], 0.0), pt([(0, 1.0)], 1.0)], bound=10.0)
-    assert predict(g, sparse_vector([(0, 1.0)])) == pytest.approx(0.5, abs=1e-9)
+    assert sparse_vector([(0, 1.0)]).dot(g.weights) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_respects_norm_bound_anchor():
     # unconstrained optimum is weight 0.5; the ball stops at 0.25
     g = fit_weighted([pt([(0, 2.0)], 1.0)], bound=0.25)
     assert g.weights[0] == pytest.approx(0.25, abs=1e-8)
-    assert predict(g, sparse_vector([(0, 2.0)])) == pytest.approx(0.5, abs=1e-7)
+    assert sparse_vector([(0, 2.0)]).dot(g.weights) == pytest.approx(0.5, abs=1e-7)
 
     # independent 1-d grid over the admissible weights
     grid = np.linspace(-0.25, 0.25, 100001)
@@ -73,51 +70,39 @@ def test_regressor_norm_invariant():
     LinearRegressor(np.array([3.0, 4.0]), norm_bound=5.0)  # exactly on the ball
 
 
-def test_predict_clamps():
-    x = sparse_vector([(0, 1.0)])
-    assert predict(LinearRegressor(np.zeros(1), 10.0), x) == 0.0
-    assert predict(LinearRegressor(np.array([1.7]), 10.0), x) == 1.0
-    assert predict(LinearRegressor(np.array([0.42]), 10.0), x) == pytest.approx(0.42)
-    assert raw_prediction(LinearRegressor(np.array([1.7]), 10.0), x) == pytest.approx(1.7)
-    assert predict(LinearRegressor(np.array([-0.3]), 10.0), x) == 0.0
-
-
 def test_empirical_risk_round_one_is_zero():
     state = LabelState(1, dim=1)
-    g = LinearRegressor(np.array([0.7]), 10.0)
-    assert empirical_risk(g, state, 1) == 0.0
+    assert state.risk_of_weights(np.array([0.7]), 1) == 0.0
 
 
 def test_empirical_risk_normalizes_by_rounds():
     # one queried point, raw prediction 0.3 vs cost 0.5, evaluated at round 3
     state = LabelState(1, dim=1)
     state.append_point(1, sparse_vector([(0, 1.0)]), 0.5)
-    g = LinearRegressor(np.array([0.3]), 10.0)
-    assert empirical_risk(g, state, 3) == pytest.approx(0.04 / 2)
+    assert state.risk_of_weights(np.array([0.3]), 3) == pytest.approx(0.04 / 2)
 
     # two queried points with residuals 0.1 and 0.3
     state2 = LabelState(1, dim=1)
     state2.append_point(1, sparse_vector([(0, 1.0)]), 0.4)
     state2.append_point(2, sparse_vector([(0, 1.0)]), 0.0)
-    g2 = LinearRegressor(np.array([0.3]), 10.0)
-    assert empirical_risk(g2, state2, 3) == pytest.approx((0.01 + 0.09) / 2)
+    assert state2.risk_of_weights(np.array([0.3]), 3) == pytest.approx((0.01 + 0.09) / 2)
 
 
 def test_empirical_risk_uses_raw_predictions():
     state = LabelState(1, dim=1)
     state.append_point(1, sparse_vector([(0, 1.0)]), 1.0)
-    g = LinearRegressor(np.array([1.5]), 10.0)  # raw 1.5, clamped would be 1.0
-    assert empirical_risk(g, state, 2) == pytest.approx(0.25)
+    # raw prediction 1.5; clamped it would be 1.0
+    assert state.risk_of_weights(np.array([1.5]), 2) == pytest.approx(0.25)
 
 
 def test_risk_only_counts_prefix_rounds():
     state = LabelState(1, dim=1)
     state.append_point(1, sparse_vector([(0, 1.0)]), 0.0)
     state.append_point(5, sparse_vector([(0, 1.0)]), 1.0)
-    g = LinearRegressor(np.array([0.0]), 10.0)
+    w = np.array([0.0])
     # round 4 sees only the first point
-    assert empirical_risk(g, state, 4) == pytest.approx(0.0)
-    assert empirical_risk(g, state, 6) == pytest.approx(1.0 / 5)
+    assert state.risk_of_weights(w, 4) == pytest.approx(0.0)
+    assert state.risk_of_weights(w, 6) == pytest.approx(1.0 / 5)
 
 
 def _random_instance(rng):

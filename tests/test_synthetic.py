@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coal.data import serialize_example, sparse_vector
-from coal.oracle import LabelState, WeightedPoint, fit_weighted, raw_prediction
+from coal.oracle import LabelState, WeightedPoint, fit_weighted
 from coal.synthetic import (
     NoiseSpec,
     brute_force_cost_range,
@@ -134,7 +134,7 @@ def test_noise_free_fit_recovers_truth():
     fitted = fit_weighted(points, bound=10.0, dim=5)
     probe, _ = gen_stream(2, 4, massart(0.2), 200, seed=14, cost_noise="none")
     errs = [
-        raw_prediction(fitted, ex.features) - truth.true_costs(ex.features)[label - 1]
+        ex.features.dot(fitted.weights) - truth.true_costs(ex.features)[label - 1]
         for ex in probe
     ]
     assert float(np.sqrt(np.mean(np.square(errs)))) <= 1e-3
