@@ -10,9 +10,11 @@ t = 1 (t = 0 for the smallest): each guess asks whether
                                risk_j(g) <= budget_j  for every ledger round j
 
 and the question is answered with a multiplicative-weights game between the
-constraints and a weighted least-squares oracle. The game's best response is
-one call of oracle.solve_bounded_least_squares on the mu-weighted sums of the
-deduplicated ledger prefixes; separation_oracle is its full-ledger form,
+constraints and a weighted least-squares oracle. All m + 1 constraints are
+quadratic in g, so RangeProblem holds them as one stack whose row 0 is the
+target and whose rows 1..m are the deduplicated ledger prefixes. The game's
+best response is one call of oracle.solve_bounded_least_squares on the
+mu-weighted sums of that stack; separation_oracle is its full-ledger form,
 which weighs every ledger entry. An infeasibility verdict
 exhibits a nonnegative combination of constraints that no regressor can
 satisfy, so it is sound no matter how few iterations ran; a feasible verdict
@@ -21,7 +23,7 @@ comes with the averaged iterate and its measured constraint violations.
 The returned estimates carry a realized tolerance
 
     tol = sqrt(bracket + s) + min(sqrt(s * leverage), 2 * bound * |x|),
-    s = 2 * rho * sqrt(log(m) / T)
+    s = 2 * rho * sqrt(log(m + 1) / T)
 
 the per-side prediction-space error implied by the final bisection bracket
 plus the game's average-violation slack. The slack enters twice: directly
@@ -71,13 +73,13 @@ class RadiusSchedule:
             raise ValueError("n, d, k must be positive")
         if not 0.0 < self.delta_prob <= 1.0 / math.e:
             raise ValueError("delta_prob must lie in (0, 1/e]")
-        if self.kappa <= 0:
+        if not self.kappa > 0:  # NaN fails too
             raise ValueError("kappa must be positive")
         if self.mode not in ("theory", "mellow"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "theory" and self.kappa < 2.0:
             raise ValueError("theory mode needs kappa >= 2")
-        if self.mellowness <= 0:
+        if not self.mellowness > 0:
             raise ValueError("mellowness must be positive")
 
 
@@ -165,13 +167,16 @@ def mw_iterations(round_i, delta_i, tol, settings=DEFAULT_SETTINGS):
     return max(1, min(settings.t_max, math.ceil(base)))
 
 
+def mw_slack(m_experts, cfg):
+    """The average-violation slack s of the module docstring; m_experts = m + 1."""
+    return 2.0 * cfg.rho * math.sqrt(math.log(m_experts) / cfg.t)
+
+
 def mw_config_for(m_experts, t, rho):
-    if m_experts >= 2:
-        # raise t until eta = sqrt(log m / t) lands at or below 1/2
-        t = max(t, math.ceil(4.0 * math.log(m_experts)))
-        eta = min(math.sqrt(math.log(m_experts) / t), 0.5)
-    else:
-        eta = 0.0
+    # raise t until eta = sqrt(log m / t) lands at or below 1/2; a lone
+    # expert (log 1 = 0) gets eta = 0 and keeps its t
+    t = max(t, math.ceil(4.0 * math.log(m_experts)))
+    eta = min(math.sqrt(math.log(m_experts) / t), 0.5)
     return MwConfig(t=t, eta=eta, rho=rho)
 
 
@@ -207,83 +212,74 @@ class MwInfeasible:
 class RangeProblem:
     """One (point, label-state) feasibility instance, reusable across guesses.
 
-    Precomputes the deduplicated ledger constraints as stacked prefix sums so
-    each solver iteration is a handful of small dense operations.
+    Holds the game's m + 1 quadratic constraints as one stack: a Gram G, a
+    moment h, a squared cost s and a normaliser n per row, so the value of a
+    row at weights w is (w'Gw - 2 h'w + s) / n. Row 0 is the target
+    (x x', t x, t^2, 1), whose t each call of run sets; rows 1..m are the
+    deduplicated ledger prefixes. m counts the ledger rows only.
     """
 
     def __init__(self, x, state, bound):
         self.x = x.to_dense(state.dim)
         self.bound = float(bound)
-        self.xx = np.outer(self.x, self.x)
         rounds, counts, budgets, radii = state.constraint_view()
-        self.budgets = budgets
-        self.radii = radii
-        self.denoms = (rounds - 1).astype(np.float64)
-        self.gram_stack, self.moment_stack, self.sq_stack = state.prefix_stack(counts)
         self.m = int(rounds.size)
-        if self.m:
-            d = self.x.size
-            rhs = np.broadcast_to(self.x.reshape(1, d, 1), (self.m, d, 1))
-            sols = np.linalg.solve(self.gram_stack + RIDGE * np.eye(d), rhs)[..., 0]
-            self.leverage = float(np.min(self.denoms * (sols @ self.x)))
-        else:
-            self.leverage = 0.0
+        self.budgets = budgets
+        self.widths = np.concatenate(([2.0], radii + 1.0))
+        self.denoms = np.concatenate(([1.0], rounds - 1.0))
+        rows = [(np.outer(self.x, self.x), self.x, 0.0)]
+        rows += [state.prefix_sums(c) for c in counts]
+        grams, moments, sqs = zip(*rows)
+        self.grams, self.moments, self.sqs = np.stack(grams), np.stack(moments), np.array(sqs)
+        # regularised, not a pseudo-inverse: a probe off the span of a
+        # prefix's points must read as unbounded leverage under that prefix
+        d = self.x.size
+        rhs = np.broadcast_to(self.x.reshape(1, d, 1), (self.m, d, 1))
+        sols = np.linalg.solve(self.grams[1:] + RIDGE * np.eye(d), rhs)[..., 0]
+        self.leverage = float(np.min(self.denoms[1:] * (sols @ self.x), initial=np.inf))
 
     def anchor_prediction(self):
         """Prediction at x of the least-squares fit on the largest prefix."""
-        if not self.m:
+        if not self.m:  # the empty prefix: the zero fit
             return 0.0
-        w = solve_bounded_least_squares(
-            self.gram_stack[-1], self.moment_stack[-1], self.bound
-        )
+        w = solve_bounded_least_squares(self.grams[-1], self.moments[-1], self.bound)
         return float(w @ self.x)
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
-        m = self.m
-        x, xx = self.x, self.xx
+        self.moments[0] = t * self.x
+        self.sqs[0] = t * t
         bounds = np.concatenate(([c], self.budgets))
-        widths = np.concatenate(([2.0], self.radii + 1.0))
-        mu = np.full(m + 1, 1.0 / (m + 1))
+        mu = np.full(self.m + 1, 1.0 / (self.m + 1))
         t_loop = cfg.t if cfg.eta > 0 else 1
-        slack_target = 2.0 * cfg.rho * math.sqrt(math.log(m + 1) / cfg.t) if m else 0.0
+        slack = mw_slack(self.m + 1, cfg)
 
-        weight_sum = np.zeros(x.size)
-        value_sum = np.zeros(m + 1)
+        weight_sum = np.zeros(self.x.size)
+        value_sum = np.zeros(self.m + 1)
         it = 0
         for it in range(1, t_loop + 1):
-            nu = mu[1:] / self.denoms if m else mu[1:]
-            h = mu[0] * xx
-            b = mu[0] * t * x
-            if m:
-                h = h + np.einsum("m,mij->ij", nu, self.gram_stack)
-                b = b + nu @ self.moment_stack
-            w = solve_bounded_least_squares(h, b, self.bound)
-            fake = (w @ x - t) ** 2
-            if m:
-                quads = (
-                    np.einsum("mij,i,j->m", self.gram_stack, w, w)
-                    - 2.0 * (self.moment_stack @ w)
-                    + self.sq_stack
-                )
-                risks = np.maximum(quads, 0.0) / self.denoms
-            else:
-                risks = np.empty(0)
-            values = np.concatenate(([fake], risks))
+            nu = mu / self.denoms
+            h = np.einsum("m,mij->ij", nu, self.grams)
+            w = solve_bounded_least_squares(h, nu @ self.moments, self.bound)
+            quads = (
+                np.einsum("mij,i,j->m", self.grams, w, w)
+                - 2.0 * (self.moments @ w)
+                + self.sqs
+            )
+            values = np.maximum(quads, 0.0) / self.denoms
             gap = mu @ (values - bounds)
             if gap >= CERTIFICATE_SLACK:
                 return MwInfeasible(it, float(mu @ values), float(mu @ bounds), mu.copy())
             value_sum += values
             weight_sum += w
-            if cfg.eta > 0:
-                ratios = np.clip((bounds - values) / widths, -1.0, 1.0)
-                mu = mu * (1.0 - cfg.eta * ratios)
-                mu = mu / mu.sum()
+            ratios = np.clip((bounds - values) / self.widths, -1.0, 1.0)
+            mu = mu * (1.0 - cfg.eta * ratios)
+            mu = mu / mu.sum()
             if (
                 settings.early_stop
                 and it < t_loop
                 and it % CHECK_EVERY == 0
-                and np.all(value_sum / it <= bounds + slack_target)
+                and np.all(value_sum / it <= bounds + slack)
             ):
                 break
         avg = value_sum / it
@@ -349,13 +345,11 @@ def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
             witness = float(outcome.regressor.weights @ problem.x)
         else:
             c_lo = c_mid
-    mw_slack = (
-        2.0 * rho * math.sqrt(math.log(problem.m + 1) / cfg.t) if problem.m else 0.0
-    )
+    slack = mw_slack(problem.m + 1, cfg)
     geom = 0.0
-    if problem.m and mw_slack > 0.0:
+    if slack > 0.0:  # with no ledger the leverage is unbounded, and unused
         ball_reach = 2.0 * problem.bound * math.sqrt(float(problem.x @ problem.x))
-        geom = min(math.sqrt(mw_slack * problem.leverage), ball_reach)
+        geom = min(math.sqrt(slack * problem.leverage), ball_reach)
     # the guess measures |prediction - target|, which cannot tell a space just
     # short of the target from one just past it; the witness prediction (or
     # the anchor fit when nothing was feasible) pins the side, and a space
@@ -368,10 +362,10 @@ def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
         raw = 0.0 if witness < 0.0 else math.sqrt(c_lo)
     return CostEstimate(
         value=min(1.0, max(0.0, raw)),
-        tol=math.sqrt((c_hi - c_lo) + mw_slack) + geom,
+        tol=math.sqrt((c_hi - c_lo) + slack) + geom,
         bracket_lo=c_lo,
         bracket_hi=c_hi,
-        mw_slack=mw_slack,
+        mw_slack=slack,
         guesses=guesses,
     )
 

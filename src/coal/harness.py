@@ -146,9 +146,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.radius_mode not in ("mellow", "theory"):
             raise ConfigError(f"unknown radius mode {self.radius_mode!r}")
-        if self.mellowness <= 0 or self.learning_rate <= 0 or self.norm_bound <= 0:
+        # written as range tests, so that NaN fails them
+        if not (self.mellowness > 0 and self.learning_rate > 0 and self.norm_bound > 0):
             raise ConfigError("mellowness, learning rate, norm bound must be positive")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ConfigError("kappa must be positive")
         if self.radius_mode == "theory" and self.kappa < 2.0:
             raise ConfigError("theory radius needs kappa >= 2")
@@ -273,18 +274,15 @@ def load_hierarchy(path):
     return parse_hierarchy(_read_lines(path))
 
 
-def fill_hierarchy_costs(examples, hierarchy, scale=None):
-    """Replace observed costs with scaled tree distances from the true label.
+def fill_hierarchy_costs(examples, hierarchy):
+    """Replace observed costs with tree distances from the true label.
 
     The true label of an example is its smallest observed minimum-cost label.
-    scale defaults to 1 / tree diameter so the largest distance costs 1.
+    Distances are divided by the tree's diameter, so the largest costs 1.
     """
-    if scale is None:
-        leaves = hierarchy.leaf_labels
-        diameter = max(
-            hierarchy.path_edges(a, b) for a in leaves for b in leaves
-        )
-        scale = 1.0 / diameter if diameter else 1.0
+    leaves = hierarchy.leaf_labels
+    diameter = max(hierarchy.path_edges(a, b) for a in leaves for b in leaves)
+    scale = 1.0 / diameter if diameter else 1.0
     filled = []
     for ex in examples:
         observed = ex.costs.observed_labels()

@@ -55,20 +55,20 @@ class WeightedPoint:
             raise ValueError("point cost must lie in [0, 1]")
 
 
-def solve_bounded_least_squares(gram, moment, bound, ridge=RIDGE):
+def solve_bounded_least_squares(gram, moment, bound):
     """argmin_w w'Gw - 2 b'w subject to ||w|| <= bound.
 
-    Solves the normal equations (G + ridge I) w = b. When that solution
+    Solves the normal equations (G + RIDGE I) w = b. When that solution
     leaves the ball (or the solve yields no finite solution), the constraint
     is active and the minimiser is the KKT point w(mu) = (H + mu I)^-1 b with
-    H = G + ridge I and ||w(mu)|| = bound: mu comes from bisection in the
+    H = G + RIDGE I and ||w(mu)|| = bound: mu comes from bisection in the
     eigenbasis of H, where ||w(mu)||^2 = sum_i beta_i^2 / (lam_i + mu)^2 is
     strictly decreasing in mu >= 0.
     """
     d = gram.shape[0]
     if d == 0:
         return np.zeros(0)
-    h = (gram + gram.T) / 2.0 + ridge * np.eye(d)
+    h = (gram + gram.T) / 2.0 + RIDGE * np.eye(d)
     try:
         w = np.linalg.solve(h, moment)
     except np.linalg.LinAlgError:
@@ -203,20 +203,6 @@ class LabelState:
 
     def constraint_view(self):
         """Deduplicated ledger constraints as (rounds, counts, budgets, radii)."""
-        if not self._dedup:
-            empty = np.empty(0)
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), empty, empty
-        r, c, dt, dl = zip(*self._dedup)
-        return (
-            np.array(r, dtype=np.int64),
-            np.array(c, dtype=np.int64),
-            np.array(dt, dtype=np.float64),
-            np.array(dl, dtype=np.float64),
-        )
-
-    def prefix_stack(self, counts):
-        """Stacked cumulative sums for several prefixes at once."""
-        if not len(counts):
-            return np.zeros((0, self.dim, self.dim)), np.zeros((0, self.dim)), np.zeros(0)
-        g, h, s = zip(*(self.prefix_sums(c) for c in counts))
-        return np.stack(g), np.stack(h), np.array(s)
+        table = np.array(self._dedup, dtype=np.float64).reshape(-1, 4)
+        rounds, counts = table[:, :2].T.astype(np.int64)
+        return rounds, counts, table[:, 2], table[:, 3]

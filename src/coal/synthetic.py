@@ -5,7 +5,8 @@ index 0 is the bias (value 1.0), slot y in 1..K carries the true cost of
 label y as its value, and the true regressor for label y is the unit vector
 on slot y. Realizability is exact, the truth has norm 1, and the margin
 between the best and second-best expected cost is drawn from the requested
-low-noise law. Slots K+1..dim are distractor features with zero true weight.
+low-noise law. Slots K+1..dim are distractor features with zero true weight,
+each present in an example with probability DISTRACTOR_DENSITY.
 
 Margin laws:
 
@@ -28,6 +29,7 @@ from .cost_range import CostInterval
 from .data import LabeledExample, full_costs, sparse_vector
 
 COST_NOISES = ("bernoulli", "none")
+DISTRACTOR_DENSITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class NoiseSpec:
         elif self.kind == "tsybakov":
             if not 0.0 < self.tau0 <= 0.7:
                 raise ValueError("tsybakov tau0 must lie in (0, 0.7]")
-            if self.alpha <= 0 or self.beta <= 0:
+            if not (self.alpha > 0 and self.beta > 0):  # NaN fails too
                 raise ValueError("tsybakov alpha and beta must be positive")
             if self.beta * self.tau0**self.alpha > 1.0 + 1e-12:
                 raise ValueError("tsybakov law needs beta * tau0^alpha <= 1")
@@ -89,12 +91,13 @@ def _draw_margin(spec, rng):
     return min(1.25 * spec.tau0, 0.9)
 
 
-def gen_stream(k, dim, spec, n, seed, cost_noise="bernoulli", distractor_density=0.5):
+def gen_stream(k, dim, spec, n, seed, cost_noise="bernoulli"):
     """Generate n examples plus the ground truth that produced them.
 
     dim counts the feature slots beyond the bias; slots 1..k encode the true
-    costs, slots k+1..dim are distractors, so dim >= k is required. The
-    stream is a pure function of the arguments (numpy default_rng(seed)).
+    costs, slots k+1..dim are distractors, each drawn with probability
+    DISTRACTOR_DENSITY, so dim >= k is required. The stream is a pure
+    function of the arguments (numpy default_rng(seed)).
     """
     if k < 2:
         raise ValueError("need at least two labels")
@@ -122,7 +125,7 @@ def gen_stream(k, dim, spec, n, seed, cost_noise="bernoulli", distractor_density
         pairs = [(0, 1.0)] + [(1 + j, float(true_costs[j])) for j in range(k)]
         for slot in range(k + 1, dim + 1):
             coin, value = rng.uniform(), rng.uniform(0.1, 1.0)
-            if coin < distractor_density:
+            if coin < DISTRACTOR_DENSITY:
                 pairs.append((slot, value))
         observed = (
             rng.binomial(1, true_costs).astype(np.float64)

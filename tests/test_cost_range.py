@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from coal.cost_range import (
+    CERTIFICATE_SLACK,
+    CHECK_EVERY,
     CostInterval,
     MwConfig,
+    MwFeasible,
+    MwInfeasible,
     MwSettings,
     RadiusSchedule,
     RangeProblem,
@@ -19,7 +23,13 @@ from coal.cost_range import (
     separation_oracle,
 )
 from coal.data import sparse_vector
-from coal.oracle import LabelState, fit_weighted, WeightedPoint
+from coal.oracle import (
+    LabelState,
+    LinearRegressor,
+    WeightedPoint,
+    fit_weighted,
+    solve_bounded_least_squares,
+)
 from coal.synthetic import brute_force_cost_range
 
 X1 = sparse_vector([(0, 1.0)])
@@ -68,6 +78,9 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, kappa=1.5)  # theory floor
     RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, kappa=1.5, mode="mellow")
+    for bad in ({"kappa": math.nan}, {"mode": "mellow", "mellowness": math.nan}):
+        with pytest.raises(ValueError):
+            RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, **bad)
 
 
 def test_radius_nonincreasing_after_round_one():
@@ -273,6 +286,139 @@ def test_mw_average_violations_within_theorem_slack():
         bound = 2.0 * cfg.rho * math.sqrt(math.log(2) / cfg.t)
         assert res.violations.max(initial=0.0) <= bound + 1e-12
         assert res.iterations == cfg.t
+
+
+def two_part_game(x, state, bound, c, t, cfg, settings):
+    """Reference game: the target's terms kept apart from the ledger stack.
+
+    This is the loop RangeProblem.run played before the target became row 0
+    of its constraint stack: the target's Gram, moment and value are formed
+    on their own and joined to the m ledger rows, with branches for m = 0.
+    """
+    x = x.to_dense(state.dim)
+    xx = np.outer(x, x)
+    rounds, counts, budgets, radii = state.constraint_view()
+    denoms = (rounds - 1).astype(np.float64)
+    m = int(rounds.size)
+    gram_stack = np.zeros((m, x.size, x.size))
+    moment_stack = np.zeros((m, x.size))
+    sq_stack = np.zeros(m)
+    for j, count in enumerate(counts):
+        gram_stack[j], moment_stack[j], sq_stack[j] = state.prefix_sums(count)
+    bounds = np.concatenate(([c], budgets))
+    widths = np.concatenate(([2.0], radii + 1.0))
+    mu = np.full(m + 1, 1.0 / (m + 1))
+    t_loop = cfg.t if cfg.eta > 0 else 1
+    slack_target = 2.0 * cfg.rho * math.sqrt(math.log(m + 1) / cfg.t) if m else 0.0
+
+    weight_sum = np.zeros(x.size)
+    value_sum = np.zeros(m + 1)
+    it = 0
+    for it in range(1, t_loop + 1):
+        nu = mu[1:] / denoms if m else mu[1:]
+        h = mu[0] * xx
+        b = mu[0] * t * x
+        if m:
+            h = h + np.einsum("m,mij->ij", nu, gram_stack)
+            b = b + nu @ moment_stack
+        w = solve_bounded_least_squares(h, b, bound)
+        fake = (w @ x - t) ** 2
+        if m:
+            quads = (
+                np.einsum("mij,i,j->m", gram_stack, w, w)
+                - 2.0 * (moment_stack @ w)
+                + sq_stack
+            )
+            risks = np.maximum(quads, 0.0) / denoms
+        else:
+            risks = np.empty(0)
+        values = np.concatenate(([fake], risks))
+        gap = mu @ (values - bounds)
+        if gap >= CERTIFICATE_SLACK:
+            return MwInfeasible(it, float(mu @ values), float(mu @ bounds), mu.copy())
+        value_sum += values
+        weight_sum += w
+        if cfg.eta > 0:
+            ratios = np.clip((bounds - values) / widths, -1.0, 1.0)
+            mu = mu * (1.0 - cfg.eta * ratios)
+            mu = mu / mu.sum()
+        if (
+            settings.early_stop
+            and it < t_loop
+            and it % CHECK_EVERY == 0
+            and np.all(value_sum / it <= bounds + slack_target)
+        ):
+            break
+    avg = value_sum / it
+    return MwFeasible(
+        regressor=LinearRegressor(weight_sum / it, bound),
+        value_averages=avg,
+        violations=np.maximum(avg - bounds, 0.0),
+        iterations=it,
+    )
+
+
+def random_ledger_state(rng, dim, m, bound):
+    """A label state with m deduplicated ledger constraints.
+
+    Points are drawn from a random subspace of rank at most dim, so about
+    half the stacks are rank-deficient; some ledger rounds add no point.
+    """
+    basis = rng.normal(size=(dim, int(rng.integers(1, dim + 1))))
+    state = LabelState(1, dim=dim)
+    round_i = 1
+    for _ in range(m):
+        z = basis @ rng.normal(size=basis.shape[1])
+        x = sparse_vector([(i, float(v)) for i, v in enumerate(z)])
+        state.append_point(round_i, x, float(rng.uniform()))
+        for _ in range(int(rng.integers(1, 3))):  # a repeat adds no constraint
+            round_i += 1
+            erm = state.erm_weights(round_i, bound)
+            risk = state.risk_of_weights(erm, round_i)
+            state.append_ledger(round_i, risk, float(rng.uniform(0.001, 0.3)))
+    return state, basis
+
+
+@pytest.mark.parametrize("bound", [0.5, 2.0, 10.0])
+def test_stacked_game_matches_two_part_reference(bound):
+    rng = np.random.default_rng(23)
+    for dim in range(1, 6):
+        for m in range(12):
+            state, basis = random_ledger_state(rng, dim, m, bound)
+            # the probe leaves the points' span in about half the cases
+            z = basis @ rng.normal(size=basis.shape[1])
+            if rng.uniform() < 0.5:
+                z = z + rng.normal(size=dim)
+            x = sparse_vector([(i, float(v)) for i, v in enumerate(z)])
+            problem = RangeProblem(x, state, bound)
+            assert problem.m == m
+            for target in (0, 1):
+                for early_stop in (True, False):
+                    settings = MwSettings(early_stop=early_stop)
+                    # a small rho shrinks the slack, so the early stop waits
+                    rho = float(rng.choice((0.03, 0.3, 3.0)))
+                    cfg = mw_config_for(m + 1, int(rng.integers(1, 65)), rho)
+                    c = float(rng.uniform()) ** 2
+                    got = problem.run(c, target, cfg, settings)
+                    want = two_part_game(x, state, bound, c, target, cfg, settings)
+                    assert got.feasible == want.feasible
+                    assert got.iterations == want.iterations
+                    if not want.feasible:
+                        assert got.certificate_value == pytest.approx(
+                            want.certificate_value, abs=1e-12
+                        )
+                        assert got.threshold == pytest.approx(want.threshold, abs=1e-12)
+                        assert np.abs(got.weights - want.weights).max() <= 1e-12
+                        continue
+                    assert np.abs(got.value_averages - want.value_averages).max() <= 1e-12
+                    assert np.abs(got.violations - want.violations).max() <= 1e-12
+                    # Off the span of the stack's Grams the game's objective
+                    # is flat: there both sides hold rounding noise divided by
+                    # the ridge, and the two orders of summation round apart.
+                    lam, q = np.linalg.eigh(problem.grams.sum(axis=0))
+                    span = q[:, lam > 1e-6 * lam.max(initial=0.0)]
+                    diff = got.regressor.weights - want.regressor.weights
+                    assert np.abs(span.T @ diff).max(initial=0.0) <= 1e-9
 
 
 # ------------------------------------------------------------ max / min

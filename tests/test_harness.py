@@ -354,13 +354,23 @@ def test_cli_config_error(capsys):
         ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=2,beta=40,n=10"],
         ["--synthetic", "massart:k=2,dim=2,tau=0.9,n=10"],
         ["--synthetic", "massart:k=2,dim=2,tau=0.9,n=10", "--emit-stream", "s.txt"],
+        # NaN fails every range test, so none of these may reach a run
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--mellowness", "nan"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--learning-rate", "nan"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--kappa", "nan"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--kappa", "nan", "--mode", "exact"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "nan"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "nan", "--mode", "exact"],
+        ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=nan,beta=1,n=20"],
+        ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=1,beta=nan,n=20"],
     ],
 )
 def test_cli_rejects_bad_configuration_before_running(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(argv + ["--seeds", "1", "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert not out
     assert any(line.startswith("configuration error:") for line in err.splitlines())
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())  # nothing ran, nothing written
