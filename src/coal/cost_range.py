@@ -72,21 +72,19 @@ class RadiusSchedule:
         if self.n < 1 or self.d < 1 or self.k < 1:
             raise ValueError("n, d, k must be positive")
         if not 0.0 < self.delta_prob <= 1.0 / math.e:
-            raise ValueError("delta_prob must lie in (0, 1/e]")
-        if not self.kappa > 0:  # NaN fails too
-            raise ValueError("kappa must be positive")
+            raise ValueError("delta must lie in (0, 1/e]")
+        if not 0.0 < self.kappa < math.inf:  # NaN fails too
+            raise ValueError("kappa must be positive and finite")
         if self.mode not in ("theory", "mellow"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown radius mode {self.mode!r}")
         if self.mode == "theory" and self.kappa < 2.0:
-            raise ValueError("theory mode needs kappa >= 2")
-        if not self.mellowness > 0:
-            raise ValueError("mellowness must be positive")
+            raise ValueError("theory radius needs kappa >= 2")
+        if not 0.0 < self.mellowness < math.inf:
+            raise ValueError("mellowness must be positive and finite")
 
 
 def eps_bound(n, d, k, delta_prob):
-    """Concentration radius 324 (d log n + log(8 K e (d+1) n^2 / delta))."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Concentration radius 324 (d log n + log(8 K e (d+1) n^2 / delta)); n >= 1."""
     return 324.0 * (
         d * math.log(n) + math.log(8.0 * k * math.e * (d + 1) * n * n / delta_prob)
     )

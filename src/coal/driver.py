@@ -107,8 +107,6 @@ class LearnerState:
 
     def predicted_costs(self, x):
         """Current clamped cost predictions, one per label."""
-        if x.nnz == 0:
-            return np.zeros(self.k)
         return np.clip(self.weights[:, x.indices] @ x.values, 0.0, 1.0)
 
 

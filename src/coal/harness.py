@@ -109,10 +109,7 @@ def parse_synthetic_spec(text):
     missing = {"k", "dim", "n"} - kwargs.keys()
     if missing:
         raise ConfigError(f"synthetic spec missing {sorted(missing)}")
-    try:
-        return SyntheticSpec(kind=kind.strip(), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SyntheticSpec(kind=kind.strip(), **kwargs)  # raises ConfigError itself
 
 
 @dataclass(frozen=True)
@@ -144,17 +141,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.radius_mode not in ("mellow", "theory"):
-            raise ConfigError(f"unknown radius mode {self.radius_mode!r}")
+        try:
+            self.schedule(1, 1, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # written as range tests, so that NaN fails them
-        if not (self.mellowness > 0 and self.learning_rate > 0 and self.norm_bound > 0):
-            raise ConfigError("mellowness, learning rate, norm bound must be positive")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be positive")
-        if self.radius_mode == "theory" and self.kappa < 2.0:
-            raise ConfigError("theory radius needs kappa >= 2")
-        if not 0.0 < self.delta <= 1.0 / math.e:
-            raise ConfigError("delta must lie in (0, 1/e]")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.norm_bound < math.inf):
+            raise ConfigError("learning rate and norm bound must be positive and finite")
         if self.seeds < 1 or self.budget_base < 1:
             raise ConfigError("seeds and budget base must be at least 1")
         if self.seed_passive < 0:
@@ -163,6 +156,18 @@ class ExperimentConfig:
             raise ConfigError("test fraction must lie in (0, 0.5]")
         if self.hierarchy is not None and self.dataset is None:
             raise ConfigError("a hierarchy only applies to a dataset")
+
+    def schedule(self, n, d, k):
+        """The radius schedule of a stream of n examples, d features and k labels."""
+        return RadiusSchedule(
+            n=n,
+            d=d,
+            k=k,
+            delta_prob=self.delta,
+            kappa=self.kappa,
+            mode=self.radius_mode,
+            mellowness=self.mellowness,
+        )
 
 
 @dataclass(frozen=True)
@@ -341,36 +346,36 @@ def _load_streams(cfg):
         return trains, test, k, dim
 
     spec = cfg.synthetic
-    law = spec.margin_law()
     n_test = max(1, round(cfg.test_fraction * spec.n))
     test, _ = gen_stream(
-        spec.k, spec.dim, law, n_test, cfg.synthetic_seed_base - 1, cost_noise="none"
+        spec.k, spec.dim, spec.margin_law(), n_test, cfg.synthetic_seed_base - 1, cost_noise="none"
     )
-    trains = {}
-    for s in range(cfg.seeds):
-        trains[s], _ = gen_stream(
-            spec.k, spec.dim, law, spec.n, cfg.synthetic_seed_base + s, cost_noise=spec.noise
-        )
+    trains = {s: train_stream(cfg, s) for s in range(cfg.seeds)}
     return trains, test, spec.k, spec.dim + 1
+
+
+def train_stream(cfg, seed):
+    """The generated train stream that seed plays, from cfg's synthetic spec."""
+    spec = cfg.synthetic
+    stream, _ = gen_stream(
+        spec.k,
+        spec.dim,
+        spec.margin_law(),
+        spec.n,
+        cfg.synthetic_seed_base + seed,
+        cost_noise=spec.noise,
+    )
+    return stream
 
 
 def run_seed(cfg, seed, train, test, k, dim):
     """One seed's pass over the stream; returns its curve points."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(train))
-    schedule = RadiusSchedule(
-        n=len(train),
-        d=dim,
-        k=k,
-        delta_prob=cfg.delta,
-        kappa=cfg.kappa,
-        mode=cfg.radius_mode,
-        mellowness=cfg.mellowness,
-    )
     state = LearnerState(
         k,
         dim,
-        schedule,
+        cfg.schedule(len(train), dim, k),
         policy=cfg.policy,
         mode=cfg.mode,
         base_rate=cfg.learning_rate,

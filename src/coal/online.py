@@ -87,8 +87,6 @@ def online_update(regressor, x, cost, weight):
 
 def sensitivity(regressor, x, target):
     """Derivative of the prediction per unit importance weight toward target."""
-    if x.nnz == 0:
-        return 0.0
     acc = np.maximum(regressor.accumulators[x.indices], ACCUM_FLOOR)
     scale = float(np.sum(x.values * x.values / np.sqrt(acc)))
     return 2.0 * regressor.base_rate * abs(regressor.raw(x) - target) * scale
@@ -144,10 +142,7 @@ def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
     importance weight w is w * sensitivity.
     """
     idx, val = x.indices, x.values
-    k = weight_rows.shape[0]
-    if idx.size == 0:
-        return np.zeros(k), np.zeros(k)
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), (k,))
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), weight_rows.shape[:1])
     raw = weight_rows[:, idx] @ val
     p = np.clip(raw, 0.0, 1.0)
     acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)

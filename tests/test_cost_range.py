@@ -78,7 +78,12 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, kappa=1.5)  # theory floor
     RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, kappa=1.5, mode="mellow")
-    for bad in ({"kappa": math.nan}, {"mode": "mellow", "mellowness": math.nan}):
+    for bad in (
+        {"kappa": math.nan},
+        {"kappa": math.inf},
+        {"mode": "mellow", "mellowness": math.nan},
+        {"mode": "mellow", "mellowness": math.inf},
+    ):
         with pytest.raises(ValueError):
             RadiusSchedule(n=10, d=1, k=2, delta_prob=0.01, **bad)
 

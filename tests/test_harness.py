@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from coal.harness import (
     ConfigError,
     CurvePoint,
     ExperimentConfig,
+    ResultTable,
     SyntheticSpec,
     _curve_auc,
+    _load_streams,
     auc,
     budget_schedule,
     ensure_bias,
@@ -363,6 +366,12 @@ def test_cli_config_error(capsys):
         ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "nan", "--mode", "exact"],
         ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=nan,beta=1,n=20"],
         ["--synthetic", "tsybakov:k=2,dim=2,tau0=0.5,alpha=1,beta=nan,n=20"],
+        # and neither may infinity, which makes the radii or the ball unbounded
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--learning-rate", "inf"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--kappa", "inf"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "inf"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "inf", "--mode", "exact"],
+        ["--synthetic", "massart:k=2,dim=2,n=20", "--mellowness", "inf"],
     ],
 )
 def test_cli_rejects_bad_configuration_before_running(argv, tmp_path, monkeypatch, capsys):
@@ -374,6 +383,15 @@ def test_cli_rejects_bad_configuration_before_running(argv, tmp_path, monkeypatc
     assert any(line.startswith("configuration error:") for line in err.splitlines())
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
+def test_cli_without_out_dir_claims_no_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["--synthetic", "massart:k=2,dim=2,n=20", "--seeds", "1", "--out", ""])
+    out = capsys.readouterr().out
+    assert code == 0 and "auc median" in out
+    assert "written to" not in out
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_bad_spec(capsys):
@@ -498,6 +516,68 @@ def test_readme_flag_defaults_match_parser():
             assert documented == "", flag
         else:
             assert type(default)(documented) == default, flag
+
+
+def test_cli_flags_are_the_config_fields(monkeypatch):
+    parser = build_parser()
+    dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "emit_stream"}
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert dests <= names
+    assert names - dests == {"synthetic_seed_base"}
+
+    passed = []
+
+    def capture(cfg):
+        passed.append(cfg)
+        nan = math.nan
+        return ResultTable((), (), dict(auc_median=nan, auc_q15=nan, auc_q85=nan), None, None)
+
+    monkeypatch.setattr("coal.cli.run_experiment", capture)
+    spec = "massart:k=2,dim=2,n=10"
+    assert main(["--synthetic", spec]) == 0
+    assert passed.pop() == ExperimentConfig(synthetic=parse_synthetic_spec(spec))
+
+    every_flag = dict(
+        dataset="d.txt",
+        hierarchy="t.txt",
+        policy="nodom",
+        mode="exact",
+        mellowness=0.5,
+        learning_rate=0.25,
+        norm_bound=4.0,
+        delta=0.1,
+        seeds=3,
+        out_dir="o",
+        budget_base=4,
+        radius_mode="theory",
+        kappa=2.5,
+        test_fraction=0.3,
+        seed_passive=7,
+    )
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert all(value != defaults[name] for name, value in every_flag.items())
+    flags = {"dataset": "--data", "out_dir": "--out", "radius_mode": "--radius"}
+    argv = []
+    for name, value in every_flag.items():
+        argv += [flags.get(name, "--" + name.replace("_", "-")), str(value)]
+    assert main(argv) == 0
+    assert passed.pop() == ExperimentConfig(**every_flag)
+
+
+def test_cli_emit_stream_is_seed_zeros_train_stream(tmp_path, capsys):
+    spec = "massart:k=3,dim=4,tau=0.3,n=25"
+    emitted = tmp_path / "emitted.txt"
+    assert main(["--synthetic", spec, "--emit-stream", str(emitted)]) == 0
+    trains, *_ = _load_streams(ExperimentConfig(synthetic=parse_synthetic_spec(spec), seeds=1))
+    write_stream(tmp_path / "seed0.txt", trains[0])
+    assert emitted.read_bytes() == (tmp_path / "seed0.txt").read_bytes()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 def test_cli_emit_stream(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coal.cost_range import RadiusSchedule
 from coal.data import sparse_vector
+from coal.driver import LearnerState
 from coal.online import (
     OnlineRegressor,
     _gap_fraction,
@@ -13,6 +15,7 @@ from coal.online import (
     online_update,
     sensitivity,
 )
+from coal.synthetic import GroundTruth
 
 X1 = sparse_vector([(0, 1.0)])
 
@@ -158,6 +161,21 @@ def test_range_collapses_without_sensitivity():
     g = warmed([0.5], [0.25], rate=0.5)
     # empty point predicts 0 and cannot move
     assert one_range(g, sparse_vector([]), 0.01) == (0.0, 0.0)
+
+
+def test_empty_point_gives_zeros_without_a_special_case():
+    # a point with no features predicts 0 and cannot move, for every radius
+    rng = np.random.default_rng(5)
+    weights, accums = rng.uniform(-0.5, 1.0, (3, 4)), rng.uniform(0.0, 2.0, (3, 4))
+    empty = sparse_vector([])
+    for delta in (math.inf, 0.3, 0.0, np.array([0.1, math.inf, 0.0])):
+        lo, hi = batch_cost_ranges(weights, accums, 0.5, empty, delta)
+        assert np.array_equal(lo, np.zeros(3)) and np.array_equal(hi, np.zeros(3))
+    assert sensitivity(OnlineRegressor(weights[0], accums[0], 0.5), empty, 1.0) == 0.0
+    state = LearnerState(3, 4, RadiusSchedule(n=10, d=4, k=3, delta_prob=0.01), mode="online")
+    state.weights[:] = weights
+    assert np.array_equal(state.predicted_costs(empty), np.zeros(3))
+    assert np.array_equal(GroundTruth(weights, "none").true_costs(empty), np.zeros(3))
 
 
 def reference_gap_fraction(r):
