@@ -10,15 +10,17 @@ t = 1 (t = 0 for the smallest): each guess asks whether
                                risk_j(g) <= budget_j  for every ledger round j
 
 and the question is answered with a multiplicative-weights game between the
-constraints and a weighted least-squares oracle. All m + 1 constraints are
-quadratic in g, so RangeProblem holds them as one stack whose row 0 is the
-target and whose rows 1..m are the deduplicated ledger prefixes. The game's
-best response is one call of oracle.solve_bounded_least_squares on the
-mu-weighted sums of that stack; separation_oracle is its full-ledger form,
-which weighs every ledger entry. An infeasibility verdict
-exhibits a nonnegative combination of constraints that no regressor can
-satisfy, so it is sound no matter how few iterations ran; a feasible verdict
-comes with the averaged iterate and its measured constraint violations.
+constraints and a weighted least-squares oracle. Each of the m + 1
+constraints is quadratic in g, so RangeProblem holds it as an augmented row
+[[G, h], [h', s]] whose quadratic form at [g; -1] is its value. A game
+iteration is two products with that stack: the mu-weighted row sum gives the
+H and b of one oracle.solve_bounded_least_squares call, and the product with
+[g; -1][g; -1]' gives every constraint value. separation_oracle is the
+oracle step's full-ledger form, which weighs every ledger entry. An
+infeasibility verdict exhibits a nonnegative combination of constraints that
+no regressor can satisfy, so it is sound no matter how few iterations ran; a
+feasible verdict comes with the averaged iterate and its measured constraint
+violations.
 
 The returned estimates carry a realized tolerance
 
@@ -210,11 +212,12 @@ class MwInfeasible:
 class RangeProblem:
     """One (point, label-state) feasibility instance, reusable across guesses.
 
-    Holds the game's m + 1 quadratic constraints as one stack: a Gram G, a
-    moment h, a squared cost s and a normaliser n per row, so the value of a
-    row at weights w is (w'Gw - 2 h'w + s) / n. Row 0 is the target
-    (x x', t x, t^2, 1), whose t each call of run sets; rows 1..m are the
-    deduplicated ledger prefixes. m counts the ledger rows only.
+    Holds the game's m + 1 quadratic constraints as one stack of augmented
+    rows: row j flattens the (d+1)x(d+1) matrix A = [[G, h], [h', s]] of a
+    Gram, a moment and a squared cost, whose value at weights w is v'Av / n
+    for v = [w; -1] and a normaliser n. Row 0 is the target (x x', t x, t^2,
+    1), whose t entries each run writes; rows 1..m are the deduplicated
+    ledger prefixes. grams and moments view the stack; m counts rows 1..m.
     """
 
     def __init__(self, x, state, bound):
@@ -225,13 +228,16 @@ class RangeProblem:
         self.budgets = budgets
         self.widths = np.concatenate(([2.0], radii + 1.0))
         self.denoms = np.concatenate(([1.0], rounds - 1.0))
-        rows = [(np.outer(self.x, self.x), self.x, 0.0)]
-        rows += [state.prefix_sums(c) for c in counts]
-        grams, moments, sqs = zip(*rows)
-        self.grams, self.moments, self.sqs = np.stack(grams), np.stack(moments), np.array(sqs)
+        d = self.x.size
+        rows = np.zeros((self.m + 1, d + 1, d + 1))
+        self.stack = rows.reshape(self.m + 1, -1)
+        self.grams, self.moments = rows[:, :d, :d], rows[:, :d, d]
+        self.grams[0] = np.outer(self.x, self.x)
+        for row, count in zip(rows[1:], counts):
+            g, h, s = state.prefix_sums(count)
+            row[:d, :d], row[:d, d], row[d, :d], row[d, d] = g, h, h, s
         # regularised, not a pseudo-inverse: a probe off the span of a
         # prefix's points must read as unbounded leverage under that prefix
-        d = self.x.size
         rhs = np.broadcast_to(self.x.reshape(1, d, 1), (self.m, d, 1))
         sols = np.linalg.solve(self.grams[1:] + RIDGE * np.eye(d), rhs)[..., 0]
         self.leverage = float(np.min(self.denoms[1:] * (sols @ self.x), initial=np.inf))
@@ -245,39 +251,38 @@ class RangeProblem:
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
-        self.moments[0] = t * self.x
-        self.sqs[0] = t * t
+        d = self.x.size
+        self.moments[0] = self.stack[0, -d - 1 : -1] = t * self.x
+        self.stack[0, -1] = t * t
         bounds = np.concatenate(([c], self.budgets))
+        limit = bounds + mw_slack(self.m + 1, cfg)
         mu = np.full(self.m + 1, 1.0 / (self.m + 1))
         t_loop = cfg.t if cfg.eta > 0 else 1
-        slack = mw_slack(self.m + 1, cfg)
+        v = np.full(d + 1, -1.0)
 
-        weight_sum = np.zeros(self.x.size)
+        weight_sum = np.zeros(d)
         value_sum = np.zeros(self.m + 1)
         it = 0
         for it in range(1, t_loop + 1):
-            nu = mu / self.denoms
-            h = np.einsum("m,mij->ij", nu, self.grams)
-            w = solve_bounded_least_squares(h, nu @ self.moments, self.bound)
-            quads = (
-                np.einsum("mij,i,j->m", self.grams, w, w)
-                - 2.0 * (self.moments @ w)
-                + self.sqs
-            )
-            values = np.maximum(quads, 0.0) / self.denoms
-            gap = mu @ (values - bounds)
-            if gap >= CERTIFICATE_SLACK:
-                return MwInfeasible(it, float(mu @ values), float(mu @ bounds), mu.copy())
+            hb = ((mu / self.denoms) @ self.stack).reshape(d + 1, d + 1)
+            w = solve_bounded_least_squares(hb[:d, :d], hb[:d, d], self.bound)
+            v[:d] = w
+            values = np.maximum(self.stack @ np.outer(v, v).ravel(), 0.0)
+            values /= self.denoms
+            ratios = bounds - values
+            if -(mu @ ratios) >= CERTIFICATE_SLACK:
+                return MwInfeasible(it, float(mu @ values), float(mu @ bounds), mu)
             value_sum += values
             weight_sum += w
-            ratios = np.clip((bounds - values) / self.widths, -1.0, 1.0)
-            mu = mu * (1.0 - cfg.eta * ratios)
-            mu = mu / mu.sum()
+            ratios /= self.widths
+            np.minimum(np.maximum(ratios, -1.0, out=ratios), 1.0, out=ratios)
+            mu *= 1.0 - cfg.eta * ratios
+            mu /= mu.sum()
             if (
                 settings.early_stop
                 and it < t_loop
                 and it % CHECK_EVERY == 0
-                and np.all(value_sum / it <= bounds + slack)
+                and np.all(value_sum / it <= limit)
             ):
                 break
         avg = value_sum / it

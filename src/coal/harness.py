@@ -95,15 +95,17 @@ def parse_synthetic_spec(text):
         key = key.strip()
         if not eq:
             raise ConfigError(f"malformed synthetic option {item!r}")
+        if key not in fields_int | fields_float | {"noise"}:
+            raise ConfigError(f"unknown synthetic option {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"synthetic option {key!r} given twice")
         try:
             if key in fields_int:
                 kwargs[key] = int(value)
             elif key in fields_float:
                 kwargs[key] = float(value)
-            elif key == "noise":
-                kwargs[key] = value.strip()
             else:
-                raise ConfigError(f"unknown synthetic option {key!r}")
+                kwargs[key] = value.strip()
         except ValueError:
             raise ConfigError(f"bad value for synthetic option {key!r}: {value!r}") from None
     missing = {"k", "dim", "n"} - kwargs.keys()

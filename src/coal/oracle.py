@@ -63,22 +63,24 @@ def solve_bounded_least_squares(gram, moment, bound):
     is active and the minimiser is the KKT point w(mu) = (H + mu I)^-1 b with
     H = G + RIDGE I and ||w(mu)|| = bound: mu comes from bisection in the
     eigenbasis of H, where ||w(mu)||^2 = sum_i beta_i^2 / (lam_i + mu)^2 is
-    strictly decreasing in mu >= 0.
+    strictly decreasing in mu >= 0. G and b may be views; neither is written.
     """
     d = gram.shape[0]
     if d == 0:
         return np.zeros(0)
-    h = (gram + gram.T) / 2.0 + RIDGE * np.eye(d)
+    h = gram + gram.T
+    h *= 0.5
+    h.flat[:: d + 1] += RIDGE
     try:
         w = np.linalg.solve(h, moment)
     except np.linalg.LinAlgError:
         w = np.linalg.lstsq(h, moment, rcond=None)[0]
     if bound == 0:
         return np.zeros(d)
-    if np.linalg.norm(w) <= bound:
+    if math.sqrt(w @ w) <= bound:
         return w
     lam, q = np.linalg.eigh(h)
-    beta = q.T @ moment
+    beta = q.T @ np.ascontiguousarray(moment)  # BLAS sums a strided view in another order
     lo, hi = 0.0, float(np.linalg.norm(beta)) / bound + 1.0
     for _ in range(200):
         mid = (lo + hi) / 2.0

@@ -426,6 +426,31 @@ def test_stacked_game_matches_two_part_reference(bound):
                     assert np.abs(span.T @ diff).max(initial=0.0) <= 1e-9
 
 
+def test_replayed_problem_matches_fresh_problems():
+    # run rewrites row 0 for each target; a problem replayed over both
+    # targets and shuffled guesses must leave nothing behind from one call
+    # to the next
+    rng = np.random.default_rng(29)
+    for dim in (1, 3, 5):
+        for m in (0, 1, 4, 9):
+            state, basis = random_ledger_state(rng, dim, m, 2.0)
+            z = basis @ rng.normal(size=basis.shape[1]) + 0.3 * rng.normal(size=dim)
+            x = sparse_vector([(i, float(v)) for i, v in enumerate(z)])
+            cfg = mw_config_for(m + 1, 40, 0.3)
+            calls = [(target, float(c)) for target in (0, 1) for c in rng.uniform(size=6) ** 2]
+            calls = [calls[i] for i in rng.permutation(len(calls))]
+            replayed = RangeProblem(x, state, 2.0)
+            for target, c in calls:
+                got = replayed.run(c, target, cfg)
+                want = RangeProblem(x, state, 2.0).run(c, target, cfg)
+                assert (got.feasible, got.iterations) == (want.feasible, want.iterations)
+                if want.feasible:
+                    assert np.array_equal(got.value_averages, want.value_averages)
+                    assert np.array_equal(got.regressor.weights, want.regressor.weights)
+                else:
+                    assert np.array_equal(got.weights, want.weights)
+
+
 # ------------------------------------------------------------ max / min
 
 

@@ -111,6 +111,20 @@ def test_parse_synthetic_spec_rejects(text):
         parse_synthetic_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("massart:k=2,dim=2,n=3,foo=1", "unknown synthetic option 'foo'"),
+        ("massart:k=2,dim=3,n=3,k=3", "synthetic option 'k' given twice"),
+        ("massart:k=2,dim=2,n=3,noise=none,noise=bernoulli", "option 'noise' given twice"),
+        ("massart:k=2,dim=2,n=3,tau=high", "bad value for synthetic option 'tau'"),
+    ],
+)
+def test_parse_synthetic_spec_names_the_fault(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_synthetic_spec(text)
+
+
 def test_config_needs_exactly_one_source(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig()
@@ -297,6 +311,27 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     assert table_a.aucs == table_b.aucs
 
 
+# Exact-mode curve rows recorded before the game's constraint rows were fused
+# into one augmented stack: (checkpoint_q, queries, examples_touched, test_cost).
+EXACT_MODE_CURVE = [
+    (1, 30, 11, 0.20378074527617515),
+    (2, 60, 21, 0.20378074527617515),
+    (3, 117, 40, 0.20378074527617515),
+]
+
+
+def test_exact_mode_curve_matches_recorded_values():
+    spec = parse_synthetic_spec("massart:k=3,dim=4,tau=0.3,n=40,noise=none")
+    table = run_experiment(ExperimentConfig(synthetic=spec, mode="exact", seeds=1, out_dir=""))
+    assert len(table.rows) == len(EXACT_MODE_CURVE)
+    for (seed, point), (checkpoint, queries, touched, test_cost) in zip(
+        table.rows, EXACT_MODE_CURVE
+    ):
+        assert seed == 0 and point.checkpoint_q == checkpoint
+        assert (point.queries, point.examples_touched) == (queries, touched)
+        assert point.test_cost == pytest.approx(test_cost, abs=1e-12)
+
+
 def test_run_experiment_no_out_dir():
     cfg = ExperimentConfig(synthetic=small_spec(n=30), seeds=1, out_dir="")
     table = run_experiment(cfg)
@@ -372,6 +407,9 @@ def test_cli_config_error(capsys):
         ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "inf"],
         ["--synthetic", "massart:k=2,dim=2,n=20", "--norm-bound", "inf", "--mode", "exact"],
         ["--synthetic", "massart:k=2,dim=2,n=20", "--mellowness", "inf"],
+        # an option the spec does not know, and one given twice
+        ["--synthetic", "massart:k=2,dim=2,n=20,foo=1"],
+        ["--synthetic", "massart:k=2,dim=3,n=20,k=3"],
     ],
 )
 def test_cli_rejects_bad_configuration_before_running(argv, tmp_path, monkeypatch, capsys):

@@ -213,6 +213,65 @@ def test_solve_bounded_matches_closed_form_on_diagonal():
         assert obj <= objective(reference) + slack
 
 
+def reference_solve(gram, moment, bound):
+    """solve_bounded_least_squares as first written: eye-built ridge, norm test."""
+    d = gram.shape[0]
+    h = (gram + gram.T) / 2.0 + RIDGE * np.eye(d)
+    w = np.linalg.solve(h, moment)
+    if np.linalg.norm(w) <= bound:
+        return w
+    lam, q = np.linalg.eigh(h)
+    beta = q.T @ moment
+    lo, hi = 0.0, float(np.linalg.norm(beta)) / bound + 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if np.sum((beta / (lam + mid)) ** 2) > bound * bound:
+            lo = mid
+        else:
+            hi = mid
+    return q @ (beta / (lam + (lo + hi) / 2.0))
+
+
+def random_augmented_rows(rng, d):
+    """A (d+1, d+1) block [[G, h], [h', s]] of a random PSD Gram, as the games hold."""
+    rows = rng.normal(size=(int(rng.integers(1, 2 * d + 1)), d + 1))
+    block = rows.T @ rows
+    block[d, d] = float(rng.uniform())
+    return block
+
+
+def test_solve_bounded_reads_strided_views_and_leaves_them_unchanged():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        stack = np.stack([random_augmented_rows(rng, d) for _ in range(3)])
+        gram, moment = stack[1, :d, :d], stack[1, :d, d]  # strided views
+        assert not moment.flags.c_contiguous or d == 1
+        before = stack.copy()
+        free = np.linalg.norm(np.linalg.lstsq(gram, moment, rcond=None)[0])
+        bound = float(rng.choice((0.5, 2.0))) * free  # about half ball-active
+        w = solve_bounded_least_squares(gram, moment, bound)
+        assert np.array_equal(stack, before)
+        copied = solve_bounded_least_squares(gram.copy(), moment.copy(), bound)
+        assert np.array_equal(w, copied)
+
+
+def test_solve_bounded_equals_first_form_bit_for_bit():
+    # asymmetric Grams: the symmetrise-and-ridge step must round as
+    # (g + g')/2 + RIDGE I does, on both the interior and the sphere path
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        rows = rng.normal(size=(d + 1, d))
+        gram = rows.T @ rows + 1e-3 * rng.normal(size=(d, d))
+        moment = rng.normal(size=d)
+        bound = float(rng.uniform(0.01, 3.0))
+        before = gram.copy()
+        got = solve_bounded_least_squares(gram, moment, bound)
+        assert np.array_equal(gram, before)
+        assert np.array_equal(got, reference_solve(gram, moment, bound))
+
+
 def test_label_state_enforces_round_order_and_cost_range():
     state = LabelState(1, dim=2)
     state.append_point(3, sparse_vector([(0, 1.0)]), 0.5)
