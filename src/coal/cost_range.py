@@ -11,16 +11,16 @@ t = 1 (t = 0 for the smallest): each guess asks whether
 
 and the question is answered with a multiplicative-weights game between the
 constraints and a weighted least-squares oracle. Each of the m + 1
-constraints is quadratic in g, so RangeProblem holds it as an augmented row
-[[G, h], [h', s]] whose quadratic form at [g; -1] is its value. A game
-iteration is two products with that stack: the mu-weighted row sum gives the
-H and b of one oracle.solve_bounded_least_squares call, and the product with
-[g; -1][g; -1]' gives every constraint value. separation_oracle is the
-oracle step's full-ledger form, which weighs every ledger entry. An
-infeasibility verdict exhibits a nonnegative combination of constraints that
-no regressor can satisfy, so it is sound no matter how few iterations ran; a
-feasible verdict comes with the averaged iterate and its measured constraint
-violations.
+constraints is quadratic in g, so RangeProblem holds it as the augmented row
+[[G, h], [h', s]] of coal.oracle, whose quadratic form at [g; -1] is its
+value. A game iteration is two products with that stack: the mu-weighted row
+sum gives the H and b of one oracle.solve_bounded_least_squares call, and
+the product with [g; -1][g; -1]' gives every constraint value.
+separation_oracle is the oracle step's full-ledger form, which weighs every
+ledger entry. An infeasibility verdict exhibits a nonnegative combination of
+constraints that no regressor can satisfy, so it is sound no matter how few
+iterations ran; a feasible verdict comes with the averaged iterate and its
+measured constraint violations.
 
 The returned estimates carry a realized tolerance
 
@@ -213,11 +213,11 @@ class RangeProblem:
     """One (point, label-state) feasibility instance, reusable across guesses.
 
     Holds the game's m + 1 quadratic constraints as one stack of augmented
-    rows: row j flattens the (d+1)x(d+1) matrix A = [[G, h], [h', s]] of a
-    Gram, a moment and a squared cost, whose value at weights w is v'Av / n
-    for v = [w; -1] and a normaliser n. Row 0 is the target (x x', t x, t^2,
-    1), whose t entries each run writes; rows 1..m are the deduplicated
-    ledger prefixes. grams and moments view the stack; m counts rows 1..m.
+    rows (coal.oracle): row j flattens a (d+1)x(d+1) matrix A whose value at
+    weights w is v'Av / n for v = [w; -1] and a normaliser n. Rows 1..m are
+    the label state's rows of the deduplicated ledger prefixes, stacked as
+    LabelState.prefix_row returns them; row 0 is the target's, which each run
+    writes for its t. grams and moments view the stack; m counts rows 1..m.
     """
 
     def __init__(self, x, state, bound):
@@ -229,13 +229,9 @@ class RangeProblem:
         self.widths = np.concatenate(([2.0], radii + 1.0))
         self.denoms = np.concatenate(([1.0], rounds - 1.0))
         d = self.x.size
-        rows = np.zeros((self.m + 1, d + 1, d + 1))
+        rows = np.stack([state.prefix_row(count) for count in (0, *counts)])
         self.stack = rows.reshape(self.m + 1, -1)
         self.grams, self.moments = rows[:, :d, :d], rows[:, :d, d]
-        self.grams[0] = np.outer(self.x, self.x)
-        for row, count in zip(rows[1:], counts):
-            g, h, s = state.prefix_sums(count)
-            row[:d, :d], row[:d, d], row[d, :d], row[d, d] = g, h, h, s
         # regularised, not a pseudo-inverse: a probe off the span of a
         # prefix's points must read as unbounded leverage under that prefix
         rhs = np.broadcast_to(self.x.reshape(1, d, 1), (self.m, d, 1))
@@ -252,8 +248,8 @@ class RangeProblem:
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
         d = self.x.size
-        self.moments[0] = self.stack[0, -d - 1 : -1] = t * self.x
-        self.stack[0, -1] = t * t
+        u = np.append(self.x, t)
+        self.stack[0] = np.outer(u, u).ravel()
         bounds = np.concatenate(([c], self.budgets))
         limit = bounds + mw_slack(self.m + 1, cfg)
         mu = np.full(self.m + 1, 1.0 / (self.m + 1))

@@ -1,8 +1,13 @@
 """Norm-bounded weighted least squares and per-label query history.
 
-In exact mode the learner keeps, for every label, the cumulative sums of its
-queried (features, cost) pairs plus a ledger of per-round empirical-risk
-bounds. Regressors are linear with an L2 norm bound; fitting solves
+In exact mode the learner keeps, for every label, its query history and a
+ledger of per-round risk budgets. The history is held as augmented rows: for
+each prefix of the queried points, the (d+1)x(d+1) sum of u u' with
+u = [x; cost], whose blocks [[G, h], [h', s]] are the Gram, the moment and
+the squared costs, and whose quadratic form at [w; -1] is the squared loss
+of w. Only LabelState builds these rows; coal.cost_range stacks them as the
+constraints of its feasibility games. Regressors are linear with an L2 norm
+bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
@@ -113,23 +118,21 @@ def fit_weighted(points, bound, dim=None):
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """Risk budget recorded after a round: ERM risk, radius, their sum."""
+    """Risk budget recorded after a round: ERM risk plus radius."""
 
     round: int
-    erm_risk: float
-    delta: float
     delta_tilde: float
 
 
 class LabelState:
     """Query history and risk ledger for a single label.
 
-    Keeps the queried points' rounds in order and the cumulative second
-    moments of their (features, cost), so the empirical risk of any weight
-    vector on any prefix is a single quadratic form. The ledger holds one
-    entry per completed round from round 2 on; rounds strictly increase.
+    Keeps the queried points' rounds in order and the augmented row of each
+    prefix of those points (module docstring), so the empirical risk of any
+    weight vector on any prefix is a single quadratic form. The ledger holds
+    one entry per completed round from round 2 on; rounds strictly increase.
     Only a tracked ledger appends points, and nothing of size dim^2 exists
-    before the first one: the empty prefix's sums are built on demand.
+    before the first one: the empty prefix's row is built on demand.
     """
 
     def __init__(self, label, dim):
@@ -137,9 +140,7 @@ class LabelState:
         self.dim = dim
         self.rounds = []
         self.ledger = []
-        self._cum_gram = []  # sums over the first 1, 2, ... points
-        self._cum_moment = []
-        self._cum_sq = []
+        self._rows = []  # augmented rows of the first 1, 2, ... points
         # earliest ledger entry per distinct point count: the binding
         # constraint of each no-query stretch (later rounds only relax it)
         self._dedup = []
@@ -153,42 +154,41 @@ class LabelState:
             raise ValueError("query rounds must be strictly increasing")
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
-        g, h, s = self.prefix_sums(self.n_points)
+        u = np.append(x.to_dense(self.dim), cost)
+        self._rows.append(self.prefix_row(self.n_points) + np.outer(u, u))
         self.rounds.append(round_i)
-        xd = x.to_dense(self.dim)
-        self._cum_gram.append(g + np.outer(xd, xd))
-        self._cum_moment.append(h + cost * xd)
-        self._cum_sq.append(s + cost * cost)
 
     def n_points_before(self, round_j):
         """How many queried points lie in rounds < round_j."""
         return bisect.bisect_left(self.rounds, round_j)
 
-    def prefix_sums(self, count):
-        """(Gram, moment, sum of squared costs) of the first count points."""
+    def prefix_row(self, count):
+        """The (dim+1)x(dim+1) augmented row of the first count points."""
         if count == 0:
-            return np.zeros((self.dim, self.dim)), np.zeros(self.dim), 0.0
-        return self._cum_gram[count - 1], self._cum_moment[count - 1], self._cum_sq[count - 1]
+            return np.zeros((self.dim + 1, self.dim + 1))
+        return self._rows[count - 1]
+
+    def prefix_sums(self, count):
+        """(Gram, moment, sum of squared costs): the blocks of prefix_row(count)."""
+        row, d = self.prefix_row(count), self.dim
+        return row[:d, :d], row[:d, d], row[d, d]
 
     def risk_of_weights(self, weights, round_j):
         """Empirical risk of raw predictions on the prefix before round_j.
 
-        Normalized by (round_j - 1) however many of those rounds queried this
-        label; rounds 0 and 1 have zero risk by convention.
+        The row's quadratic form at [w; -1], normalized by (round_j - 1)
+        however many of those rounds queried this label; rounds 0 and 1 have
+        zero risk by convention.
         """
-        if round_j <= 1:
-            return 0.0
         k = self.n_points_before(round_j)
-        if k == 0:
+        if round_j <= 1 or k == 0:
             return 0.0
-        g, h, s = self.prefix_sums(k)
-        val = float(weights @ g @ weights - 2.0 * (h @ weights) + s)
-        return max(val, 0.0) / (round_j - 1)
+        v = np.append(weights, -1.0)
+        return max(float(v @ self.prefix_row(k) @ v), 0.0) / (round_j - 1)
 
     def erm_weights(self, round_j, bound):
         """Bounded least-squares weights for the prefix before round_j."""
-        k = self.n_points_before(round_j)
-        g, h, _ = self.prefix_sums(k)
+        g, h, _ = self.prefix_sums(self.n_points_before(round_j))
         return solve_bounded_least_squares(g, h, bound)
 
     def append_ledger(self, round_j, erm_risk, delta):
@@ -196,7 +196,7 @@ class LabelState:
             raise ValueError("ledger rounds must be strictly increasing")
         if erm_risk < 0 or delta < 0:
             raise ValueError("risk and radius must be nonnegative")
-        entry = LedgerEntry(round_j, erm_risk, delta, erm_risk + delta)
+        entry = LedgerEntry(round_j, erm_risk + delta)
         self.ledger.append(entry)
         count = self.n_points_before(round_j)
         if count > 0 and (not self._dedup or count > self._dedup[-1][1]):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coal.cost_range import RangeProblem
 from coal.data import sparse_vector
 from coal.oracle import (
     LabelState,
@@ -238,6 +239,43 @@ def random_augmented_rows(rng, d):
     block = rows.T @ rows
     block[d, d] = float(rng.uniform())
     return block
+
+
+def test_label_history_is_the_augmented_row_the_games_stack():
+    rng = np.random.default_rng(43)
+    d = 3
+    state = LabelState(1, dim=d)
+    augmented = []
+    for r in range(1, 12):
+        if r % 3:  # some rounds query nothing: their ledger entries share a prefix
+            xd = rng.normal(size=d)
+            cost = float(rng.uniform())
+            state.append_point(r, sparse_vector(list(enumerate(xd))), cost)
+            augmented.append(np.append(xd, cost))
+        state.append_ledger(r + 1, 0.0, 0.5)
+
+    for count in range(state.n_points + 1):
+        row = state.prefix_row(count)
+        want = np.zeros((d + 1, d + 1))
+        for u in augmented[:count]:
+            want = want + np.outer(u, u)
+        assert np.array_equal(row, want)
+        gram, moment, sq = state.prefix_sums(count)
+        if count:  # the empty prefix's row is built anew on each call
+            assert np.shares_memory(gram, row) and np.shares_memory(moment, row)
+        assert np.array_equal(gram, want[:d, :d]) and np.array_equal(moment, want[:d, d])
+        assert sq == want[d, d]
+
+    problem = RangeProblem(sparse_vector([(0, 1.0)]), state, 10.0)
+    rounds = state.constraint_view()[0]
+    assert problem.m == len(rounds) > 1
+    for j, round_j in enumerate(rounds, start=1):
+        for _ in range(5):
+            w = rng.normal(size=d)
+            v = np.append(w, -1.0)
+            game_value = float(problem.stack[j] @ np.outer(v, v).ravel())
+            want = max(game_value, 0.0) / (round_j - 1)
+            assert state.risk_of_weights(w, int(round_j)) == pytest.approx(want, rel=1e-12)
 
 
 def test_solve_bounded_reads_strided_views_and_leaves_them_unchanged():
