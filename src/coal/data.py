@@ -136,13 +136,20 @@ class CostVector:
     def k(self):
         return int(self.costs.size)
 
+    def _slot(self, label):
+        """0-based slot of a 1-based label; label 0 would wrap to label K."""
+        if not 1 <= label <= self.costs.size:
+            raise DataError(f"label {label} out of range 1..{self.k}")
+        return label - 1
+
     def is_observed(self, label):
-        return bool(self.observed[label - 1])
+        return bool(self.observed[self._slot(label)])
 
     def cost_of(self, label):
-        if not self.observed[label - 1]:
+        slot = self._slot(label)
+        if not self.observed[slot]:
             raise DataError(f"cost of label {label} is unobserved")
-        return float(self.costs[label - 1])
+        return float(self.costs[slot])
 
     def observed_labels(self):
         return [int(i) + 1 for i in np.flatnonzero(self.observed)]

@@ -43,20 +43,28 @@ def psi(round_i):
     return 1.0 / math.sqrt(round_i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryDecision:
-    """What one round decided: intervals, candidate labels, labels to query.
+    """What one round decided: interval ends, candidate labels, labels to query.
 
+    lo, hi and tol are arrays with one entry per label (label y at index
+    y - 1); intervals builds the checked CostIntervals from them when read.
     nondominated is always the overlap candidate set (labels whose interval
     low end does not exceed the smallest interval high end); to_query follows
     the active policy. Labels are 1-based.
     """
 
     round: int
-    intervals: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    tol: np.ndarray
     nondominated: tuple
     to_query: tuple
     psi: float
+
+    @property
+    def intervals(self):
+        return tuple(CostInterval(*map(float, ends)) for ends in zip(self.lo, self.hi, self.tol))
 
 
 class LearnerState:
@@ -68,7 +76,8 @@ class LearnerState:
     accumulators (None in exact mode), the query log, and the round counter
     (1-based: round = processed examples + 1). The LabelStates keep history
     and ledger only under track_exact_ledger (exact mode's default), so an
-    online run keeps O(K * dim) state.
+    online run keeps O(K * dim) state. Each round reads policy afresh, so
+    run_seed plays its warm-up rounds by switching it to passive.
     """
 
     def __init__(
@@ -131,45 +140,36 @@ def _decide(policy, los, his, threshold):
 
 
 def process_example(state, x):
-    """Compute intervals and the query decision for the current round."""
+    """Compute interval ends and the query decision for the current round.
+
+    A passive round queries every label, so it computes no cost range in
+    either mode: its ends are 0 and 1, with tol 1.
+    """
     i = state.round
     threshold = psi(i)
-    delta_i = radius(i, state.schedule)
-    if state.mode == "online":
+    if state.policy == "passive":
+        los, his, tols = np.zeros(state.k), np.ones(state.k), np.ones(state.k)
+    elif state.mode == "online":
         los, his = batch_cost_ranges(
-            state.weights,
-            state.accumulators,
-            state.base_rate,
-            x,
-            delta_i,
+            state.weights, state.accumulators, state.base_rate, x, radius(i, state.schedule)
         )
-        intervals = tuple(
-            CostInterval(float(l), float(h), 0.0) for l, h in zip(los, his)
-        )
+        tols = np.zeros(state.k)
     else:
-        if state.policy == "passive":
-            # passive ignores intervals; skip the solver work
-            intervals = tuple(CostInterval(0.0, 1.0, 1.0) for _ in range(state.k))
-        else:
-            intervals = tuple(
-                cost_interval(
-                    x,
-                    label_state,
-                    threshold / 4.0,
-                    i,
-                    delta_i,
-                    rho=state.schedule.kappa,
-                    bound=state.norm_bound,
-                    settings=state.settings,
-                )
-                for label_state in state.labels
-            )
-        los = np.array([iv.lo for iv in intervals])
-        his = np.array([iv.hi for iv in intervals])
+        delta_i = radius(i, state.schedule)
+        intervals = [
+            cost_interval(
+                x, label_state, threshold / 4.0, i, delta_i,
+                rho=state.schedule.kappa, bound=state.norm_bound, settings=state.settings,
+            )  # fmt: skip
+            for label_state in state.labels
+        ]
+        los, his, tols = np.array([(iv.lo, iv.hi, iv.tol) for iv in intervals]).T
     nondominated, to_query = _decide(state.policy, los, his, threshold)
     return QueryDecision(
         round=i,
-        intervals=intervals,
+        lo=los,
+        hi=his,
+        tol=tols,
         nondominated=tuple(int(y) + 1 for y in nondominated),
         to_query=tuple(int(y) + 1 for y in to_query),
         psi=threshold,
@@ -182,14 +182,18 @@ def observe_costs(state, x, decision, costs):
     Updates the online regressors (online mode) and records the query log;
     when the ledger is tracked, appends the query history, refits each
     label's ERM for the risk ledger and, in exact mode, stores it as that
-    label's predictor. Advances the round counter. Raises ContractError if
-    the decision is stale or a queried cost is unobserved.
+    label's predictor. Advances the round counter. Raises ContractError,
+    before changing anything, if the decision is stale, queries a label twice
+    or outside 1..K, or queries a cost that is unobserved.
     """
     if decision.round != state.round:
         raise ContractError(
             f"decision from round {decision.round} applied at round {state.round}"
         )
-    for y in decision.to_query:
+    queried = decision.to_query
+    if len(set(queried)) != len(queried) or not all(1 <= y <= state.k for y in queried):
+        raise ContractError(f"queried labels {queried} are not distinct labels in 1..{state.k}")
+    for y in queried:
         if not costs.is_observed(y):
             raise ContractError(f"label {y} was queried but its cost is unobserved")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -87,28 +87,24 @@ def parse_synthetic_spec(text):
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ConfigError("synthetic spec must look like 'kind:key=value,...'")
-    fields_int = {"k", "dim", "n"}
-    fields_float = {"tau", "tau0", "alpha", "beta"}
+    options = {f.name: f for f in fields(SyntheticSpec) if f.name != "kind"}
     kwargs = {}
     for item in filter(None, rest.split(",")):
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq:
             raise ConfigError(f"malformed synthetic option {item!r}")
-        if key not in fields_int | fields_float | {"noise"}:
+        if key not in options:
             raise ConfigError(f"unknown synthetic option {key!r}")
         if key in kwargs:
             raise ConfigError(f"synthetic option {key!r} given twice")
+        # field types are strings under the __future__ import
+        convert = {"int": int, "float": float, "str": str.strip}[options[key].type]
         try:
-            if key in fields_int:
-                kwargs[key] = int(value)
-            elif key in fields_float:
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value.strip()
+            kwargs[key] = convert(value)
         except ValueError:
             raise ConfigError(f"bad value for synthetic option {key!r}: {value!r}") from None
-    missing = {"k", "dim", "n"} - kwargs.keys()
+    missing = {name for name, f in options.items() if f.default is MISSING} - kwargs.keys()
     if missing:
         raise ConfigError(f"synthetic spec missing {sorted(missing)}")
     return SyntheticSpec(kind=kind.strip(), **kwargs)  # raises ConfigError itself
@@ -387,10 +383,9 @@ def run_seed(cfg, seed, train, test, k, dim):
     next_q = 1
     for pos, train_index in enumerate(order, start=1):
         ex = train[int(train_index)]
+        # forced warm-up rounds play as passive ones: they query every label
+        state.policy = "passive" if pos <= cfg.seed_passive else cfg.policy
         decision = process_example(state, ex.features)
-        if pos <= cfg.seed_passive:
-            # forced warm-up rounds: query everything regardless of policy
-            decision = replace(decision, to_query=tuple(range(1, k + 1)))
         observe_costs(state, ex.features, decision, ex.costs)
         while state.log.l2 >= budget_schedule(next_q, k, cfg.budget_base):
             points.append(

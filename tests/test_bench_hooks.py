@@ -29,6 +29,7 @@ harness.run_experiment(
     harness.ExperimentConfig(
         synthetic=harness.parse_synthetic_spec(f"massart:k=3,dim=3,n={sys.argv[4]}"),
         mode=sys.argv[3],
+        policy=sys.argv[5],
         seeds=1,
         out_dir="",
     )
@@ -37,10 +38,10 @@ print(json.dumps(tracer.layer_metrics()))
 """
 
 
-def traced_metrics(mode, n):
+def traced_metrics(mode, n, policy="coal"):
     """Per-layer metrics of one traced run, under a tracer of its own."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), mode, str(n)]
+    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), mode, str(n), policy]
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, *argv],
         capture_output=True,
@@ -65,3 +66,11 @@ def test_traced_run_reaches_every_layer():
     assert online["online.online_update.calls"] > 0
     # online mode reads no ledger, so it writes no exact history either
     assert online["oracle.append_point.calls"] == 0
+
+
+def test_traced_passive_run_probes_no_range():
+    # text-passive-wide's layers: a passive round updates every label and
+    # computes no cost range
+    passive = traced_metrics("online", 40, policy="passive")
+    assert passive["online.batch_cost_ranges.calls"] == 0
+    assert passive["online.online_update.calls"] > 0

@@ -156,6 +156,17 @@ def test_cost_vector_unobserved_access_raises():
         cv.cost_of(2)
 
 
+def test_cost_vector_rejects_labels_out_of_range():
+    # label 0 must not wrap round to label K's slot
+    cv = full_costs([0.1, 0.2, 0.9])
+    for label in (0, -1, 4):
+        with pytest.raises(DataError, match="out of range 1..3"):
+            cv.cost_of(label)
+        with pytest.raises(DataError, match="out of range 1..3"):
+            cv.is_observed(label)
+    assert [cv.cost_of(y) for y in (1, 2, 3)] == [0.1, 0.2, 0.9]
+
+
 # hierarchy: chain root(0) - a(1) - b(2); labels sit on a and b
 CHAIN = HierarchySpec(parent={0: 0, 1: 0, 2: 1}, leaf_labels=(1, 2))
 # star: root 0 with leaves 1, 2, 3

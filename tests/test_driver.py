@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coal.cost_range import MwSettings, RadiusSchedule
+from coal.cost_range import CostInterval, MwSettings, RadiusSchedule
 from coal.data import full_costs, partial_costs, sparse_vector
 from coal.driver import (
     ContractError,
@@ -150,7 +150,7 @@ def test_observe_empty_query_only_advances_round():
 def test_observe_single_query_counts():
     state = fresh_state(k=3, dim=2)
     state.round = 5
-    decision = QueryDecision(5, (), (2,), (2,), psi(5))
+    decision = QueryDecision(5, np.zeros(3), np.ones(3), np.ones(3), (2,), (2,), psi(5))
     observe_costs(state, BIAS, decision, partial_costs(3, {2: 0.4}))
     assert (state.log.l1, state.log.l2) == (1, 1)
     assert state.labels[1].n_points == 1
@@ -174,21 +174,64 @@ def test_observe_rejects_stale_decision():
 
 
 def test_observe_rejects_missing_cost():
-    state = fresh_state(k=2, dim=2)
-    state.round = 9  # wide psi has passed; queries will fire
-    decision = QueryDecision(9, (), (1, 2), (1, 2), psi(9))
-    with pytest.raises(ContractError):
-        observe_costs(state, BIAS, decision, partial_costs(2, {1: 0.2}))
-    # the failed call must not have recorded anything
-    assert state.round == 9
-    assert state.labels[0].n_points == 0
+    cases = (
+        ((1, 2), partial_costs(2, {1: 0.2})),  # label 2's cost is unobserved
+        ((0,), full_costs([0.2, 0.8])),  # label 0 would index label 2's row
+        ((2, 2), full_costs([0.2, 0.8])),  # label 2 twice
+    )
+    for mode in ("exact", "online"):
+        for to_query, costs in cases:
+            state = fresh_state(k=2, dim=2, mode=mode)
+            state.round = 9  # wide psi has passed; queries will fire
+            decision = QueryDecision(
+                9, np.zeros(2), np.ones(2), np.ones(2), (1, 2), to_query, psi(9)
+            )
+            with pytest.raises(ContractError):
+                observe_costs(state, BIAS, decision, costs)
+            # the failed call must not have recorded anything
+            assert state.round == 9
+            assert all(label_state.n_points == 0 for label_state in state.labels)
+            assert not state.weights.any()
+            assert (state.log.l1, state.log.l2) == (0, 0)
 
 
-def test_passive_exact_skips_interval_solves():
-    state = fresh_state(policy="passive")
-    decision = process_example(state, BIAS)
-    assert decision.to_query == (1, 2)
-    assert all(iv.tol == 1.0 for iv in decision.intervals)
+def test_passive_exact_skips_interval_solves(monkeypatch):
+    # in either mode a passive round queries everything and probes nothing
+    def probe(*args, **kwargs):
+        raise AssertionError("a passive round computed a cost range")
+
+    monkeypatch.setattr("coal.driver.batch_cost_ranges", probe)
+    monkeypatch.setattr("coal.driver.cost_interval", probe)
+    for mode in ("exact", "online"):
+        state = fresh_state(policy="passive", mode=mode)
+        state.round = 9
+        decision = process_example(state, BIAS)
+        assert decision.to_query == (1, 2)
+        assert all(iv.tol == 1.0 for iv in decision.intervals), mode
+
+
+def test_online_intervals_are_read_back_from_the_ends():
+    stream, _ = gen_stream(3, 3, massart(0.2), 30, seed=5)
+    state = fresh_state(k=3, dim=4, mode="online")
+    for ex in stream:
+        decision = process_example(state, ex.features)
+        assert isinstance(decision.lo, np.ndarray)
+        # the dataclasses compare field by field, so the floats match exactly
+        assert decision.intervals == tuple(
+            CostInterval(float(lo), float(hi), 0.0) for lo, hi in zip(decision.lo, decision.hi)
+        )
+        observe_costs(state, ex.features, decision, ex.costs)
+    assert state.log.l2 > 0
+
+
+def test_reading_intervals_checks_them():
+    # lo exceeds hi by 0.3 > 2 * tol: the decision holds the arrays, and
+    # reading its intervals runs CostInterval's check
+    decision = QueryDecision(
+        2, np.array([0.0, 0.6]), np.array([1.0, 0.3]), np.full(2, 0.1), (1,), (), psi(2)
+    )
+    with pytest.raises(ValueError):
+        decision.intervals
 
 
 def test_track_exact_ledger_defaults():
@@ -200,7 +243,7 @@ def test_track_exact_ledger_defaults():
 def test_online_observe_updates_view_backed_regressors():
     state = fresh_state(mode="online")
     state.round = 3
-    decision = QueryDecision(3, (), (1, 2), (1,), psi(3))
+    decision = QueryDecision(3, np.zeros(2), np.ones(2), np.ones(2), (1, 2), (1,), psi(3))
     observe_costs(state, BIAS, decision, full_costs([1.0, 0.0]))
     assert state.weights[0, 0] > 0.0  # moved toward cost 1
     assert state.weights[1, 0] == 0.0

@@ -1,9 +1,10 @@
-"""Golden output: the curve and summary CSV bytes of three fixed runs.
+"""Golden output: the curve and summary CSV bytes of five fixed runs.
 
 Each run's two CSVs are pinned by their sha256, so a change that moves any
 learning curve by a single byte fails here, whatever its size. The pins
 cover exact mode (feasibility games and the ledger refit), online mode (the
-closed-form range probe) and the command line on a text dataset with a
+closed-form range probe), the passive baseline in each mode (no range
+probe, every label queried) and the command line on a text dataset with a
 label tree. A change that is meant to move these bytes updates the pins and
 records the AUC before and after in CHANGES.md.
 """
@@ -26,6 +27,14 @@ PINS = {
         "93d470203ce2730917f2a2f1fde953a57ba529ff9f46a5eb51f40c15e7a1f6df",
         "460e1e3367c0cb3ceb58c4fa5223b0db6fb89ef4a907fcc50af2bde412dd6a14",
     ),
+    "exact-passive": (
+        "bbb35e59d29221d8cc0f4e3bccc2f389b4e7bf408d2fbfe3dbaee8599fed4563",
+        "5a018ae29f1ef3f90d66ff49048d0059641cf32f67fce77d2fb269782a619680",
+    ),
+    "online-passive": (
+        "4c409066d12d6a738226a248f787fa3be95ea153dae685bd281442cea85e1fc2",
+        "662c363feed8bc863a8727584306a5a473014ac3925eb8f12a3b5481c98982ed",
+    ),
     "cli": (
         "3259e0b65b10c97c186179397eb6c1634b0e81150a0e8f29b3fbb2eff2ca096c",
         "a3edb3f07d952e7e6c15b2d1cf6945d05515d3089be886eb090d42c888198f75",
@@ -40,9 +49,17 @@ def csv_hashes(out_dir):
     return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (curve, summary))
 
 
-def run_synthetic(spec, mode, out_dir):
+EXACT_SPEC = "massart:k=3,dim=4,tau=0.3,n=40,noise=none"
+ONLINE_SPEC = "massart:k=3,dim=4,tau=0.3,n=400"
+
+
+def run_synthetic(spec, mode, out_dir, policy="coal"):
     cfg = ExperimentConfig(
-        synthetic=parse_synthetic_spec(spec), mode=mode, seeds=2, out_dir=str(out_dir)
+        synthetic=parse_synthetic_spec(spec),
+        policy=policy,
+        mode=mode,
+        seeds=2,
+        out_dir=str(out_dir),
     )
     run_experiment(cfg)
     return csv_hashes(out_dir)
@@ -63,13 +80,23 @@ def run_cli(tmp_path):
 
 
 def test_exact_mode_bytes(tmp_path):
-    got = run_synthetic("massart:k=3,dim=4,tau=0.3,n=40,noise=none", "exact", tmp_path)
+    got = run_synthetic(EXACT_SPEC, "exact", tmp_path)
     assert got == PINS["exact"]
 
 
 def test_online_mode_bytes(tmp_path):
-    got = run_synthetic("massart:k=3,dim=4,tau=0.3,n=400", "online", tmp_path)
+    got = run_synthetic(ONLINE_SPEC, "online", tmp_path)
     assert got == PINS["online"]
+
+
+def test_exact_passive_bytes(tmp_path):
+    got = run_synthetic(EXACT_SPEC, "exact", tmp_path, policy="passive")
+    assert got == PINS["exact-passive"]
+
+
+def test_online_passive_bytes(tmp_path):
+    got = run_synthetic(ONLINE_SPEC, "online", tmp_path, policy="passive")
+    assert got == PINS["online-passive"]
 
 
 def test_cli_hierarchy_bytes(tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coal import driver
 from coal.cli import build_parser, main
 from coal.data import DataError, full_costs, parse_hierarchy, sparse_vector
 from coal.driver import LearnerState
@@ -264,21 +265,38 @@ def test_run_seed_deterministic():
     assert first == second
 
 
-def test_run_seed_forced_warmup_queries_everything():
-    cfg = ExperimentConfig(
-        synthetic=small_spec(),
-        policy="coal",
-        seeds=1,
-        out_dir="",
-        budget_base=2,
-        mellowness=1e-9,
-        seed_passive=3,
-    )
+def test_run_seed_forced_warmup_queries_everything(monkeypatch):
+    # the warm-up rounds play as passive ones: they probe no cost range, and
+    # every later round probes once per round (online) or once per label (exact)
+    calls = {}
+    for name in ("batch_cost_ranges", "cost_interval"):
+
+        def counted(*args, _name=name, _solver=getattr(driver, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(driver, name, counted)
     train, _ = gen_stream(3, 3, massart(0.3), 30, seed=400)
     test, _ = gen_stream(3, 3, massart(0.3), 5, seed=401, cost_noise="none")
-    _, state = run_seed(cfg, 0, train, test, 3, 4)
-    assert state.log.masks[:3] == [0b111] * 3
-    assert state.log.l2 >= 9
+    for mode, n_train, probes in (
+        ("online", 30, {"batch_cost_ranges": 30 - 3}),
+        ("exact", 5, {"cost_interval": (5 - 3) * 3}),
+    ):
+        cfg = ExperimentConfig(
+            synthetic=small_spec(),
+            policy="coal",
+            mode=mode,
+            seeds=1,
+            out_dir="",
+            budget_base=2,
+            mellowness=1e-9,
+            seed_passive=3,
+        )
+        calls.clear()
+        _, state = run_seed(cfg, 0, train[:n_train], test, 3, 4)
+        assert state.log.masks[:3] == [0b111] * 3
+        assert state.log.l2 >= 9
+        assert calls == probes, mode
 
 
 def test_run_experiment_writes_csv(tmp_path):

@@ -214,6 +214,32 @@ def test_solve_bounded_matches_closed_form_on_diagonal():
         assert obj <= objective(reference) + slack
 
 
+def test_solve_bounded_falls_back_to_lstsq_on_a_singular_system(monkeypatch):
+    # at this scale the 1e-12 ridge is lost in rounding, so G + RIDGE I stays
+    # singular and np.linalg.solve raises (at 1e4 it does not)
+    gram = np.full((2, 2), 1e5)
+    moment = np.array([5e4, 5e4])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(gram + RIDGE * np.eye(2), moment)
+    np.linalg.solve(np.full((2, 2), 1e4) + RIDGE * np.eye(2), moment)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    w = solve_bounded_least_squares(gram, moment, bound=10.0)
+    assert calls == [1]
+    assert np.all(np.isfinite(w))
+    assert np.linalg.norm(w) <= 10.0
+    # every w with w1 + w2 = 0.5 minimises; the fallback returns the one of least norm
+    assert np.allclose(gram @ w, moment, rtol=0, atol=1e-9)
+    assert np.allclose(w, np.linalg.pinv(gram) @ moment, rtol=0, atol=1e-12)
+    assert np.allclose(w, [0.25, 0.25], rtol=0, atol=1e-12)
+
+
 def reference_solve(gram, moment, bound):
     """solve_bounded_least_squares as first written: eye-built ridge, norm test."""
     d = gram.shape[0]
