@@ -193,8 +193,9 @@ def _float_repr(x):
 def parse_example(line, k, lineno=None):
     """Parse one text-format example: ``y1:c1 [y2:c2 ...] | i1:v1 [i2:v2 ...]``.
 
-    Labels are 1..k with costs in [0, 1]; unlisted labels are unobserved.
-    Duplicate feature indices are summed. Raises ParseError with position info.
+    Tokens are separated by spaces or tabs. Labels are 1..k with costs in
+    [0, 1]; unlisted labels are unobserved. A feature value must have a finite
+    square; duplicate feature indices are summed. Raises ParseError with position.
     """
     bar = line.find("|")
     if bar < 0:
@@ -204,7 +205,8 @@ def parse_example(line, k, lineno=None):
 
     def tokens(section, offset):
         col = offset
-        for tok in section.split(" "):
+        # a tab is one character, like the space it becomes, so columns still count
+        for tok in section.replace("\t", " ").split(" "):
             if tok:
                 yield tok, col + 1
             col += len(tok) + 1
@@ -241,8 +243,9 @@ def parse_example(line, k, lineno=None):
             raise ParseError(f"malformed index:value token {tok!r}", lineno, col) from None
         if i < 0:
             raise ParseError(f"negative feature index {i}", lineno, col)
-        if not math.isfinite(v):
-            raise ParseError(f"non-finite feature value {tail}", lineno, col)
+        # the learner squares every value, in Gram rows, accumulators and |x|^2
+        if not math.isfinite(v * v):
+            raise ParseError(f"feature value {tail} has no finite square", lineno, col)
         feats.append((i, v))
 
     return LabeledExample(sparse_vector(feats), partial_costs(k, seen))
@@ -319,6 +322,14 @@ class HierarchySpec:
         return dist
 
 
+def content_lines(lines):
+    """(1-based line number, stripped text) of each line neither blank nor a comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_hierarchy(lines):
     """Build a HierarchySpec from ``node_id parent_id`` lines.
 
@@ -326,10 +337,7 @@ def parse_hierarchy(lines):
     node-id order.
     """
     parent = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(lines):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'node parent', got {line!r}", lineno, 1)

@@ -25,6 +25,7 @@ import numpy as np
 from .cost_range import DEFAULT_KAPPA, DEFAULT_NORM_BOUND, RadiusSchedule
 from .data import (
     DataError,
+    content_lines,
     parse_example,
     parse_hierarchy,
     serialize_example,
@@ -213,17 +214,9 @@ def ensure_bias(example):
     return LabeledExample(sparse_vector([(0, 1.0)] + feats.pairs()), example.costs)
 
 
-def _data_lines(lines):
-    """(1-based line number, stripped text) of each line that holds an example."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
 def _scan_max_label(lines):
     top = 0
-    for _, line in _data_lines(lines):
+    for _, line in content_lines(lines):
         left = line.split("|", 1)[0]
         for tok in left.split():
             head = tok.partition(":")[0]
@@ -237,9 +230,9 @@ def _scan_max_label(lines):
 
 
 def _read_lines(path):
-    """Lines of a UTF-8 text file; any other encoding is a DataError."""
+    """Lines of a UTF-8 text file, with or without a BOM; any other encoding is a DataError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from None
@@ -250,7 +243,7 @@ def load_dataset(path, k=None):
     lines = _read_lines(path)
     if k is None:
         k = _scan_max_label(lines)
-    examples = [parse_example(line, k, lineno) for lineno, line in _data_lines(lines)]
+    examples = [parse_example(line, k, lineno) for lineno, line in content_lines(lines)]
     if not examples:
         raise DataError(f"dataset {path} has no examples")
     return examples, k
@@ -265,7 +258,7 @@ def _require_full_costs(path, examples):
     for j, ex in enumerate(examples):
         if not ex.costs.observed.all():
             missing = np.flatnonzero(~ex.costs.observed) + 1
-            lineno = [n for n, _ in _data_lines(_read_lines(path))][j]
+            lineno = [n for n, _ in content_lines(_read_lines(path))][j]
             raise DataError(
                 f"{path} line {lineno}: no cost for label(s) "
                 f"{', '.join(map(str, missing))}; without a hierarchy every line "

@@ -69,10 +69,12 @@ def online_update(regressor, x, cost, weight):
     """
     if not math.isfinite(weight):
         raise ValueError("weight must be finite")
-    if weight == 0.0 or x.nnz == 0:
-        return regressor
     idx = x.indices
     val = x.values
+    norm_sq = float(val @ val)
+    # a squared norm of 0 (no features, or squares below the float range) moves nothing
+    if weight == 0.0 or norm_sq == 0.0:
+        return regressor
     acc = regressor.accumulators[idx]
     grown = acc + weight * val * val
     if weight < 0 and np.any(grown <= 0):
@@ -80,7 +82,7 @@ def online_update(regressor, x, cost, weight):
     d_int = 2.0 * float(np.sum(np.sqrt(grown) - np.sqrt(acc)))
     residual = regressor.raw(x) - cost
     shrink = residual * (1.0 - math.exp(-2.0 * regressor.base_rate * d_int))
-    regressor.weights[idx] -= val * (shrink / float(val @ val))
+    regressor.weights[idx] -= val * (shrink / norm_sq)
     regressor.accumulators[idx] = grown
     return regressor
 

@@ -1,50 +1,79 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import coal
 
 PACKAGE = Path(coal.__file__).parent
+REPO = PACKAGE.parent.parent
 
-# exported as reference implementations the tests check the package against
-TEST_REFERENCES = {"WeightedPoint", "fit_weighted", "brute_force_cost_range", "separation_oracle"}
+# public names the tests import as reference implementations to check the
+# package against; no package code calls them
+TEST_REFERENCES = {
+    "WeightedPoint",
+    "fit_weighted",
+    "brute_force_cost_range",
+    "separation_oracle",
+    "max_cost",
+    "min_cost",
+    "sensitivity",
+}
 
 
-def _referenced_names():
-    """Names read as a variable or an attribute anywhere in the package's code.
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
-    The package's own re-exports in __init__.py do not count, and neither do
-    docstrings: only a Name or an Attribute node in the syntax tree does.
+
+def test_package_module_imports_nothing():
+    # a public name has one import path: the submodule that defines it
+    tree = _parse(PACKAGE / "__init__.py")
+    imports = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not imports, f"coal/__init__.py imports on lines {imports}"
+
+
+def _names_read(node):
+    """Names read as a variable or an attribute under a syntax tree node.
+
+    Docstrings and import statements do not count: only a Name or an
+    Attribute node does.
     """
-    names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
 
 
-def _exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {
-        alias.asname or alias.name
-        for node in tree.body
+def test_every_public_name_has_a_caller_in_the_package():
+    defined = {}  # public top-level def or class -> (file, whether it reads itself)
+    readers = Counter()  # name -> number of top-level statements that read it
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            read = set(_names_read(stmt))
+            readers.update(read)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[stmt.name] = (path.name, stmt.name in read)
+    called = {name for name, (_, own) in defined.items() if readers[name] > own}
+    assert TEST_REFERENCES <= defined.keys()
+    assert not TEST_REFERENCES & called, "a test reference the package calls needs no exemption"
+    unused = sorted(
+        f"{path}:{name}"
+        for name, (path, _) in defined.items()
+        if name not in called | TEST_REFERENCES
+    )
+    assert not unused, f"public but never used in src/coal: {unused}"
+    imported = {
+        alias.name
+        for path in (REPO / "tests").glob("*.py")
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    assert TEST_REFERENCES <= imported, f"no test imports {sorted(TEST_REFERENCES - imported)}"
 
 
-def test_every_export_has_a_caller_in_the_package():
-    exported = _exported_names()
-    assert TEST_REFERENCES <= exported
-    unused = exported - TEST_REFERENCES - _referenced_names()
-    assert not unused, f"exported but never used in src/coal: {sorted(unused)}"
-
-
-REPO = PACKAGE.parent.parent
 CALLER_DIRS = [PACKAGE, REPO / "tests", REPO / "perfbench"]
 
 

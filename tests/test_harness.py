@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -518,6 +521,48 @@ def test_cli_rejects_files_that_are_not_utf8(bad, tmp_path, capsys):
     assert code == 3
     assert err.startswith("data error:") and str(tmp_path / bad) in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["bom", "tabs"])
+def test_cli_reads_a_bom_and_tabs_like_plain_text(variant, tmp_path):
+    rng = np.random.default_rng(5)
+    lines = []
+    for _ in range(40):
+        costs = " ".join(f"{y}:{c:.3f}" for y, c in enumerate(rng.uniform(size=3), start=1))
+        lines.append(f"{costs} | 1:{rng.normal():.3f} 2:{rng.normal():.3f}\n")
+    plain = {"data": "".join(lines).encode(), "tree": b"# three leaves\n0 0\n1 0\n2 0\n3 0\n"}
+    if variant == "bom":
+        changed = {name: b"\xef\xbb\xbf" + text for name, text in plain.items()}
+    else:
+        changed = {name: text.replace(b" ", b"\t") for name, text in plain.items()}
+    outputs = []
+    for tag, files in (("plain", plain), (variant, changed)):
+        for name, content in files.items():
+            (tmp_path / f"{tag}.{name}").write_bytes(content)
+        out = tmp_path / f"out-{tag}"
+        argv = ["--data", str(tmp_path / f"{tag}.data"), "--seeds", "2", "--budget-base", "1"]
+        assert main(argv + ["--hierarchy", str(tmp_path / f"{tag}.tree"), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 2 and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("mode", ["online", "exact"])
+def test_cli_rejects_a_feature_whose_square_overflows(mode, tmp_path):
+    # 1e200 is finite but its square is not; the learner would spin on NaNs.
+    # A subprocess with a timeout fails, rather than hangs, if the spin returns.
+    data = tmp_path / "huge.txt"
+    data.write_text("1:0.0 2:1.0 | 1:1e200\n" + "1:1.0 2:0.0 | 1:0.5\n" * 4, encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "coal.cli", "--data", str(data), "--mode", mode, "--out", ""],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("data error:") and "1e200" in proc.stderr
+    assert "(line 1, column 15)" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def wide_dataset(tmp_path):

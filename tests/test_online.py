@@ -58,6 +58,14 @@ def test_empty_point_update_is_noop():
     assert g.weights[0] == 0.3
 
 
+def test_update_with_a_squared_norm_below_the_float_range_is_noop():
+    # 1e-170 squares to 0.0, so |x|^2 is 0 although x has a nonzero value
+    g = warmed([0.3, -0.2], [0.5, 0.0])
+    online_update(g, sparse_vector([(0, 1e-170)]), 1.0, 1.0)
+    assert g.weights.tolist() == [0.3, -0.2]
+    assert g.accumulators.tolist() == [0.5, 0.0]
+
+
 def test_update_moves_toward_cost():
     g = warmed([0.0], [0.0], rate=0.01)
     online_update(g, X1, 1.0, 1.0)
