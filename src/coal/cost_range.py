@@ -9,7 +9,10 @@ t = 1 (t = 0 for the smallest): each guess asks whether
     exists g, ||g|| <= bound:  (g(x) - t)^2 <= c  and
                                risk_j(g) <= budget_j  for every ledger round j
 
-and the question is answered with a multiplicative-weights game between the
+The bisection starts from the closed-form bracket of RangeProblem.bracket: a
+sound lower end from the ellipsoid each ledger row confines the weights to,
+and an upper end from an exactly feasible witness. Only the guesses inside
+what the bracket leaves open play a multiplicative-weights game between the
 constraints and a weighted least-squares oracle. Each of the m + 1
 constraints is quadratic in g, so RangeProblem holds it as the augmented row
 [[G, h], [h', s]] of coal.oracle, whose quadratic form at [g; -1] is its
@@ -49,6 +52,7 @@ DEFAULT_NORM_BOUND = 10.0
 MW_CONSTANT = 12.0  # numerator of the iteration budget, see mw_iterations
 CHECK_EVERY = 8  # game iterations between early-stop checks
 CERTIFICATE_SLACK = 1e-9  # least weighted overshoot that certifies infeasibility
+STEP_MARGIN = 1e-9  # relative shortening of the bracket's witness step, for rounding
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,9 @@ class RangeProblem:
     the label state's rows of the deduplicated ledger prefixes, stacked as
     LabelState.prefix_row returns them; row 0 is the target's, which each run
     writes for its t. grams and moments view the stack; m counts rows 1..m.
+    directions and fits hold each prefix's G_eps^-1 x and ridge fit
+    G_eps^-1 h, with G_eps = G + RIDGE I; anchor is the bounded fit on the
+    largest prefix.
     """
 
     def __init__(self, x, state, bound):
@@ -233,17 +240,67 @@ class RangeProblem:
         self.stack = rows.reshape(self.m + 1, -1)
         self.grams, self.moments = rows[:, :d, :d], rows[:, :d, d]
         # regularised, not a pseudo-inverse: a probe off the span of a
-        # prefix's points must read as unbounded leverage under that prefix
-        rhs = np.broadcast_to(self.x.reshape(1, d, 1), (self.m, d, 1))
-        sols = np.linalg.solve(self.grams[1:] + RIDGE * np.eye(d), rhs)[..., 0]
-        self.leverage = float(np.min(self.denoms[1:] * (sols @ self.x), initial=np.inf))
+        # prefix's points must read as unbounded leverage under that prefix.
+        # One solve per prefix gives both G_eps^-1 x and the ridge fit G_eps^-1 h.
+        rhs = np.stack((np.broadcast_to(self.x, (self.m, d)), self.moments[1:]), axis=-1)
+        sols = np.linalg.solve(self.grams[1:] + RIDGE * np.eye(d), rhs)
+        self.directions, self.fits = sols[..., 0], sols[..., 1]
+        self.leverage = float(np.min(self.denoms[1:] * (self.directions @ self.x), initial=np.inf))
+        self.anchor = np.zeros(d)  # the empty prefix's fit
+        if self.m:
+            self.anchor = solve_bounded_least_squares(self.grams[-1], self.moments[-1], self.bound)
 
     def anchor_prediction(self):
         """Prediction at x of the least-squares fit on the largest prefix."""
-        if not self.m:  # the empty prefix: the zero fit
-            return 0.0
-        w = solve_bounded_least_squares(self.grams[-1], self.moments[-1], self.bound)
-        return float(w @ self.x)
+        return float(self.anchor @ self.x)
+
+    def bracket(self, t):
+        """Closed-form (c_lo, c_hi, witness) for the search against target t.
+
+        c_lo is sound. Since q_j(w) = q_eps(w) - RIDGE |w|^2, ledger row j
+        confines w to (w - fit_j)' G_eps (w - fit_j) <= rho_j, so the
+        prediction at x lies within sqrt(rho_j x'G_eps^-1 x) of fit_j . x;
+        c_lo is the squared distance from t to the intersection of these
+        ranges and the ball's +-bound |x|. c_hi comes from an exactly
+        feasible regressor: the anchor fit moved along the last prefix's
+        G_eps^-1 x toward t. Every row's value and |w|^2 are quadratics in the
+        step, so the largest step within every budget is a minimum of roots;
+        it stops where the prediction reaches t, less STEP_MARGIN for
+        rounding. witness is its weights, or None (and c_hi is 1) when the
+        anchor itself breaks a budget.
+        """
+        x, rows = self.x, self.stack[1:]
+        budgets = self.budgets * self.denoms[1:]
+        fit_norms = np.sqrt(np.einsum("ij,ij->i", self.fits, self.fits))
+        residuals = rows[:, -1] - np.einsum("ij,ij->i", self.moments[1:], self.fits)
+        rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
+        half = np.sqrt(rho * np.maximum(self.directions @ x, 0.0))
+        centres, ball_reach = self.fits @ x, self.bound * math.sqrt(float(x @ x))
+        lo = float(np.max(centres - half, initial=-ball_reach))
+        hi = float(np.min(centres + half, initial=ball_reach))
+        c_lo = min(max(lo - t, t - hi, 0.0) ** 2, 1.0)
+
+        start = float(self.anchor @ x)
+        step = math.copysign(1.0, t - start) * (self.directions[-1] if self.m else x)
+        v, dv = np.append(self.anchor, -1.0), np.append(step, 0.0)
+        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
+        ball = [self.anchor @ self.anchor, self.anchor @ step, step @ step]
+        a, b, c = np.vstack((rows @ forms.reshape(3, -1).T, ball)).T
+        room = np.append(budgets, self.bound**2) - a
+        if np.any(room < 0.0):
+            return c_lo, 1.0, None
+        c = np.maximum(c, 0.0)
+        disc = np.sqrt(b * b + c * room)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the larger root of c alpha^2 + 2 b alpha = room, in its cancellation-free form
+            roots = np.where(b < 0.0, (disc - b) / c, room / (b + disc))
+            alpha = min(float(roots.min()), abs((t - start) / (x @ step)))
+        # nan: a row at its budget with no slope; inf: x = 0, no step moves
+        # the prediction. Either way the witness is the anchor.
+        if not math.isfinite(alpha):
+            alpha = 0.0
+        witness = self.anchor + alpha * (1.0 - STEP_MARGIN) * step
+        return c_lo, min(max((witness @ x - t) ** 2, c_lo), 1.0), witness
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
@@ -332,16 +389,15 @@ class CostEstimate:
 def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
     t_budget = mw_iterations(round_i, delta_i, tol, settings)
     cfg = mw_config_for(problem.m + 1, t_budget, rho)
-    c_lo, c_hi = 0.0, 1.0
+    c_lo, c_hi, witness = problem.bracket(target)
     guesses = 0
-    witness = None
     while c_hi - c_lo > tol * tol / 2.0:
         c_mid = (c_lo + c_hi) / 2.0
         guesses += 1
         outcome = problem.run(c_mid, target, cfg, settings)
         if outcome.feasible:
             c_hi = c_mid
-            witness = float(outcome.regressor.weights @ problem.x)
+            witness = outcome.regressor.weights
         else:
             c_lo = c_mid
     slack = mw_slack(problem.m + 1, cfg)
@@ -353,12 +409,11 @@ def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
     # short of the target from one just past it; the witness prediction (or
     # the anchor fit when nothing was feasible) pins the side, and a space
     # past the target saturates the clamped cost at that end
-    if witness is None:
-        witness = problem.anchor_prediction()
+    side = problem.anchor_prediction() if witness is None else float(witness @ problem.x)
     if target == 1:
-        raw = 1.0 if witness > 1.0 else 1.0 - math.sqrt(c_lo)
+        raw = 1.0 if side > 1.0 else 1.0 - math.sqrt(c_lo)
     else:
-        raw = 0.0 if witness < 0.0 else math.sqrt(c_lo)
+        raw = 0.0 if side < 0.0 else math.sqrt(c_lo)
     return CostEstimate(
         value=min(1.0, max(0.0, raw)),
         tol=math.sqrt((c_hi - c_lo) + slack) + geom,

@@ -195,7 +195,8 @@ def parse_example(line, k, lineno=None):
 
     Tokens are separated by spaces or tabs. Labels are 1..k with costs in
     [0, 1]; unlisted labels are unobserved. A feature value must have a finite
-    square; duplicate feature indices are summed. Raises ParseError with position.
+    square, and so must the vector's norm; duplicate feature indices are summed.
+    Raises ParseError with its position, counted from the start of the line.
     """
     bar = line.find("|")
     if bar < 0:
@@ -247,8 +248,12 @@ def parse_example(line, k, lineno=None):
         if not math.isfinite(v * v):
             raise ParseError(f"feature value {tail} has no finite square", lineno, col)
         feats.append((i, v))
-
-    return LabeledExample(sparse_vector(feats), partial_costs(k, seen))
+    x = sparse_vector(feats)
+    # finite squares can still sum past the largest float
+    norm = math.hypot(*x.values.tolist())
+    if not math.isfinite(norm * norm):
+        raise ParseError("features have no finite squared norm", lineno, bar + 1)
+    return LabeledExample(x, partial_costs(k, seen))
 
 
 def serialize_example(example):
@@ -323,11 +328,15 @@ class HierarchySpec:
 
 
 def content_lines(lines):
-    """(1-based line number, stripped text) of each line neither blank nor a comment."""
+    """(1-based line number, text) of each line neither blank nor a comment.
+
+    The text keeps its leading blanks, so that error columns count from the
+    start of the line.
+    """
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+        text = raw.lstrip()
+        if text and not text.startswith("#"):
+            yield lineno, raw.rstrip()
 
 
 def parse_hierarchy(lines):
@@ -339,14 +348,15 @@ def parse_hierarchy(lines):
     parent = {}
     for lineno, line in content_lines(lines):
         parts = line.split()
+        col = len(line) - len(line.lstrip()) + 1  # where the entry starts
         if len(parts) != 2:
-            raise ParseError(f"expected 'node parent', got {line!r}", lineno, 1)
+            raise ParseError(f"expected 'node parent', got {line.strip()!r}", lineno, col)
         try:
             n, p = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno, 1) from None
+            raise ParseError(f"non-integer node id in {line.strip()!r}", lineno, col) from None
         if n in parent:
-            raise ParseError(f"duplicate node {n}", lineno, 1)
+            raise ParseError(f"duplicate node {n}", lineno, col)
         parent[n] = p
     if not parent:
         raise DataError("empty hierarchy")

@@ -31,6 +31,7 @@ from coal.oracle import (
     solve_bounded_least_squares,
 )
 from coal.synthetic import brute_force_cost_range
+from test_acceptance import _ball_grid, _sandwich_instance
 
 X1 = sparse_vector([(0, 1.0)])
 
@@ -478,11 +479,33 @@ def test_constant_class_interval_anchor():
 
 
 def test_bracket_tightness_contract():
+    # (g - 0.3)^2 <= 0.04 confines predictions at x=[1] to [0.1, 0.5], so the
+    # search against t = 1 has its optimum at c = 0.25
     state = single_point_state()
     est = max_cost(X1, state, tol=0.3, round_i=2, delta_i=0.04)
     assert est.bracket_hi - est.bracket_lo <= 0.3**2 / 2
-    assert est.guesses >= 1
+    assert est.bracket_lo <= 0.25 <= est.bracket_hi
     assert est.tol >= math.sqrt(est.bracket_hi - est.bracket_lo)
+
+
+def test_games_narrow_what_the_bracket_leaves_open():
+    # The anchor (the fit 0.5 on both points) breaks the first row's budget
+    # g^2 <= 0.01, so the bracket has no witness and leaves c_hi at 1; its
+    # outer bound is the optimum 0.81 (g = 0.1), and the games close the rest.
+    state = LabelState(1, dim=1)
+    state.append_point(1, X1, 0.0)
+    state.append_ledger(2, 0.0, 0.01)
+    state.append_point(2, X1, 1.0)
+    state.append_ledger(3, 0.25, 0.3)
+    c_lo, c_hi, witness = RangeProblem(X1, state, 10.0).bracket(1)
+    assert witness is None and c_hi == 1.0
+    assert c_lo == pytest.approx(0.81, abs=1e-9)
+    assert c_hi - c_lo > 0.3**2 / 2
+    est = max_cost(X1, state, tol=0.3, round_i=3, delta_i=0.3)
+    assert est.guesses >= 1
+    assert c_lo <= est.bracket_lo <= est.bracket_hi < c_hi
+    assert est.bracket_hi - est.bracket_lo <= 0.3**2 / 2
+    assert est.bracket_lo <= 0.81 + 1e-9
 
 
 def test_cost_interval_combines_both_ends():
@@ -565,3 +588,77 @@ def test_infeasibility_soundness_against_grid():
         res = problem.run(guess, 1, cfg)
         if not res.feasible:
             assert guess < best + 1e-9
+
+
+# ------------------------------------------------------- closed-form bracket
+
+
+def within_budgets(weights, state):
+    """Rows of weights that meet every ledger budget, with brute_force_cost_range's 1e-12."""
+    v = np.column_stack((weights, -np.ones(len(weights))))
+    ok = np.ones(len(weights), dtype=bool)
+    for entry in state.ledger:
+        row = state.prefix_row(state.n_points_before(entry.round))
+        risks = np.maximum(np.einsum("gi,ij,gj->g", v, row, v), 0.0) / (entry.round - 1)
+        ok &= risks <= entry.delta_tilde + 1e-12
+    return ok
+
+
+def test_bracket_is_sound_against_grid():
+    # the ledgers, probes and grids of acceptance criterion 1 (d = 1 and 2)
+    bound = 2.0
+    grids = {1: _ball_grid(1, bound)[0], 2: _ball_grid(2, bound)[0]}
+    witnesses = 0
+    for idx in range(50):
+        d, _, state, _, probe = _sandwich_instance(idx, bound)
+        grid, x = grids[d], probe.to_dense(d)
+        preds = grid[within_budgets(grid, state)] @ x
+        truth = brute_force_cost_range(grid, state, probe)
+        problem = RangeProblem(probe, state, bound)
+        for target in (0, 1):
+            c_lo, c_hi, witness = problem.bracket(target)
+            # outer: no feasible grid point lies nearer to t than c_lo says
+            assert c_lo <= ((preds - target) ** 2).min() + 1e-12
+            assert c_lo <= c_hi <= 1.0
+            if witness is None:
+                assert c_hi == 1.0
+                continue
+            # inner: the witness itself is feasible, and c_hi is its distance
+            witnesses += 1
+            assert np.linalg.norm(witness) <= bound
+            assert within_budgets(witness[None], state)[0]
+            assert c_hi == pytest.approx(min(max((witness @ x - target) ** 2, c_lo), 1.0))
+        # in cost terms: with a tol too loose for any game, the ends that the
+        # bracket alone gives contain the brute-force interval
+        hi = max_cost(probe, state, tol=2.0, round_i=100, delta_i=0.1, bound=bound)
+        lo = min_cost(probe, state, tol=2.0, round_i=100, delta_i=0.1, bound=bound)
+        assert hi.guesses == lo.guesses == 0
+        assert lo.value <= truth.lo + 1e-9 and truth.hi <= hi.value + 1e-9
+    assert witnesses >= 90  # 98 of the 100 searches have one
+
+
+def test_exact_run_settles_its_searches_in_closed_form(monkeypatch):
+    # The exact-coal benchmark stream for benchmark seed 1. Each of its
+    # RangeProblems serves two searches; at most 2% of them may play a game.
+    from coal import cost_range
+    from coal.harness import ExperimentConfig, parse_synthetic_spec, run_experiment
+
+    calls = {"problems": 0, "games": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    problem = cost_range.RangeProblem
+    monkeypatch.setattr(problem, "__init__", counted("problems", problem.__init__))
+    monkeypatch.setattr(problem, "run", counted("games", problem.run))
+    spec = parse_synthetic_spec("massart:k=3,dim=4,tau=0.3,n=80,noise=none")
+    cfg = ExperimentConfig(
+        synthetic=spec, mode="exact", seeds=1, out_dir="", synthetic_seed_base=1_001_000
+    )
+    run_experiment(cfg)
+    assert calls["problems"] >= 200
+    assert calls["games"] <= 0.02 * 2 * calls["problems"]

@@ -13,6 +13,7 @@ from coal.data import (
     ParseError,
     QueryLog,
     SparseVector,
+    content_lines,
     full_costs,
     parse_example,
     parse_hierarchy,
@@ -51,6 +52,27 @@ def test_parse_error_carries_line_and_column():
     assert err is not None
     assert err.line == 7
     assert err.column is not None and err.column > 1
+
+
+def test_parse_error_columns_count_from_the_start_of_the_raw_line():
+    # leading blanks belong to the line: the bad token starts at column 17
+    [(lineno, line)] = content_lines(["# header\n", "  1:0.0 2:1.0 | 1:1e200\n"])
+    with pytest.raises(ParseError) as err:
+        parse_example(line, 2, lineno)
+    assert (err.value.line, err.value.column) == (2, 17)
+    # a tab is one column in hierarchy files too
+    with pytest.raises(ParseError) as err:
+        parse_hierarchy(["0 0", "1 0", "\t  1 0"])
+    assert (err.value.line, err.value.column) == (3, 4)
+
+
+def test_parse_rejects_features_whose_squared_norm_overflows():
+    # each square is finite (1.69e308) but their sum is not
+    with pytest.raises(ParseError) as err:
+        parse_example("1:0.0 2:1.0 | 1:1.3e154 2:1.3e154", k=2, lineno=4)
+    assert (err.value.line, err.value.column) == (4, 13)
+    ex = parse_example("1:0.0 2:1.0 | 1:1.3e153 2:1.3e153", k=2)
+    assert ex.features.pairs() == [(1, 1.3e153), (2, 1.3e153)]
 
 
 @pytest.mark.parametrize(

@@ -565,6 +565,26 @@ def test_cli_rejects_a_feature_whose_square_overflows(mode, tmp_path):
     assert "(line 1, column 15)" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["online", "exact"])
+def test_cli_rejects_features_whose_squared_norm_overflows(mode, tmp_path):
+    # each square is finite but their sum is not: online mode used to print
+    # "auc median nan" and exact mode to exit with a LinAlgError traceback
+    data = tmp_path / "wide-norm.txt"
+    rest = "1:1.0 2:0.0 | 1:0.5\n" * 4
+    data.write_text("1:0.0 2:1.0 | 1:1.3e154 2:1.3e154\n" + rest, encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "coal.cli", "--data", str(data), "--mode", mode, "--out", ""],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("data error:") and "squared norm" in proc.stderr
+    assert "(line 1, column 13)" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def wide_dataset(tmp_path):
     """60 lines of 3 labels whose sparse features reach index 49 999."""
     rng = np.random.default_rng(11)
