@@ -13,7 +13,7 @@ The bisection starts from the closed-form bracket of RangeProblem.bracket: a
 sound lower end from the ellipsoid each ledger row confines the weights to,
 and an upper end from an exactly feasible witness. Only the guesses inside
 what the bracket leaves open play a multiplicative-weights game between the
-constraints and a weighted least-squares oracle. Each of the m + 1
+constraints and a minimum-norm least-squares oracle. Each of the m + 1
 constraints is quadratic in g, so RangeProblem holds it as the augmented row
 [[G, h], [h', s]] of coal.oracle, whose quadratic form at [g; -1] is its
 value. A game iteration is two products with that stack: the mu-weighted row

@@ -328,6 +328,7 @@ def _load_streams(cfg):
         else:
             _require_full_costs(cfg.dataset, examples)
         examples = [ensure_bias(ex) for ex in examples]
+        _require_finite_norm_sum(cfg, examples)
         n_test = max(1, round(cfg.test_fraction * len(examples)))
         if n_test >= len(examples):
             raise DataError("dataset too small for the test split")
@@ -343,6 +344,24 @@ def _load_streams(cfg):
     )
     trains = {s: train_stream(cfg, s) for s in range(cfg.seeds)}
     return trains, test, spec.k, spec.dim + 1
+
+
+def _require_finite_norm_sum(cfg, examples):
+    """Reject a dataset whose squared feature norms sum past the float range.
+
+    Exact mode sums them in its Gram rows, doubles those when it symmetrises
+    them, and evaluates risks of weights up to norm_bound (online mode's step
+    sizes sum them unscaled), so the sum must stay finite once scaled by
+    2 max(1, norm_bound)^2. math.hypot never overflows on its way to a finite
+    result.
+    """
+    norms = [math.hypot(*ex.features.values.tolist()) for ex in examples]
+    reach = math.hypot(*norms) * max(1.0, cfg.norm_bound)
+    if not math.isfinite(2.0 * reach * reach):
+        raise DataError(
+            f"{cfg.dataset}: the squared feature norms, summed over the examples, "
+            "overflow once doubled and scaled by max(1, norm bound)^2"
+        )
 
 
 def train_stream(cfg, seed):

@@ -11,10 +11,11 @@ bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
-with one solver, solve_bounded_least_squares: the ridge-regularized normal
-equations, and, when their solution leaves the ball, the exact KKT solution
-on the sphere. Every least-squares fit in the package (the ERM refit, the
-feasibility games' oracle, the separation oracle) goes through it.
+with one solver, solve_bounded_least_squares. One symmetric eigendecomposition
+per call gives the minimiser of least norm: inside the ball, or on its sphere,
+where Newton steps on 1/||w(mu)|| climb to the multiplier mu from a lower
+bound (Gander 1981; More and Sorensen 1983). Every least-squares fit in the
+package (the ERM refit, the games' oracle, the separation oracle) uses it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RIDGE = 1e-12
+RIDGE = 1e-12  # coal.cost_range's regularised solves use G + RIDGE I; the bounded solve needs none
+RANGE_RTOL = 1e-8  # a part of b on a null direction below this share of ||b|| is rounding
+NEWTON_RTOL = 1e-13  # the sphere's ||w|| is returned within this relative distance of the bound
+NEWTON_CAP = 50  # a safety net: from the lower bound Newton needs a handful of steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,39 +65,35 @@ class WeightedPoint:
 
 
 def solve_bounded_least_squares(gram, moment, bound):
-    """argmin_w w'Gw - 2 b'w subject to ||w|| <= bound.
+    """argmin_w w'Gw - 2 b'w subject to ||w|| <= bound, of least norm.
 
-    Solves the normal equations (G + RIDGE I) w = b. When that solution
-    leaves the ball (or the solve yields no finite solution), the constraint
-    is active and the minimiser is the KKT point w(mu) = (H + mu I)^-1 b with
-    H = G + RIDGE I and ||w(mu)|| = bound: mu comes from bisection in the
-    eigenbasis of H, where ||w(mu)||^2 = sum_i beta_i^2 / (lam_i + mu)^2 is
-    strictly decreasing in mu >= 0. G and b may be views; neither is written.
+    Eigenvalues of G + G' at or below d eps lam_max, and b's parts on them below
+    RANGE_RTOL ||b||, count as 0. The minimum-norm solution is the answer when b
+    has no other part there and it lies in the ball. G and b are not written.
     """
     d = gram.shape[0]
-    if d == 0:
-        return np.zeros(0)
-    h = gram + gram.T
-    h *= 0.5
-    h.flat[:: d + 1] += RIDGE
-    try:
-        w = np.linalg.solve(h, moment)
-    except np.linalg.LinAlgError:
-        w = np.linalg.lstsq(h, moment, rcond=None)[0]
-    if bound == 0:
+    if d == 0 or bound == 0:
         return np.zeros(d)
-    if math.sqrt(w @ w) <= bound:
-        return w
-    lam, q = np.linalg.eigh(h)
-    beta = q.T @ np.ascontiguousarray(moment)  # BLAS sums a strided view in another order
-    lo, hi = 0.0, float(np.linalg.norm(beta)) / bound + 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if np.sum((beta / (lam + mid)) ** 2) > bound * bound:
-            lo = mid
-        else:
-            hi = mid
-    return q @ (beta / (lam + (lo + hi) / 2.0))
+    lam, q = np.linalg.eigh(gram + gram.T)
+    beta = np.dot(moment + moment, q)  # (G + G')w = 2b; np.dot is cheaper than @ at this size
+    cut = d * math.ulp(1.0) * lam[-1]
+    if lam[0] <= cut:  # eigh sorts ascending; keep a null direction only where b has a part
+        null = lam <= cut
+        keep = ~null | (np.abs(beta) > RANGE_RTOL * math.sqrt(beta @ beta))
+        lam[null] = 0.0
+        lam, beta, q = lam[keep], beta[keep], q[:, keep]
+    if not lam.size or lam[0] > 0.0:  # no null direction is left: b lies in G's range
+        w = beta / lam
+        if np.dot(w, w) <= bound * bound:
+            return np.dot(q, w)
+    mu = max(np.linalg.norm(beta) / bound - lam[-1], np.linalg.norm(beta[lam == 0]) / bound, 0.0)
+    for _ in range(NEWTON_CAP):  # 1/||w(mu)|| is concave: its Newton steps stay below the root
+        w = beta / (lam + mu)
+        norm2 = w @ w
+        if norm2 <= (bound * (1.0 + NEWTON_RTOL)) ** 2:
+            break
+        mu += norm2 * (math.sqrt(norm2) - bound) / (bound * (w @ (w / (lam + mu))))
+    return q @ w
 
 
 def fit_weighted(points, bound, dim=None):

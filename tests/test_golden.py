@@ -1,12 +1,13 @@
-"""Golden output: the curve and summary CSV bytes of five fixed runs.
+"""Golden output: the curve and summary CSV bytes of six fixed runs.
 
 Each run's two CSVs are pinned by their sha256, so a change that moves any
 learning curve by a single byte fails here, whatever its size. The pins
-cover exact mode (feasibility games and the ledger refit), online mode (the
-closed-form range probe), the passive baseline in each mode (no range
-probe, every label queried) and the command line on a text dataset with a
-label tree. A change that is meant to move these bytes updates the pins and
-records the AUC before and after in CHANGES.md.
+cover exact mode (feasibility games and the ledger refit), exact mode at a
+small mellowness (where its intervals narrow and decide queries), online
+mode (the closed-form range probe), the passive baseline in each mode (no
+range probe, every label queried) and the command line on a text dataset
+with a label tree. A change that is meant to move these bytes updates the
+pins and records the AUC before and after in CHANGES.md.
 """
 
 import hashlib
@@ -22,6 +23,10 @@ PINS = {
     "exact": (
         "33c1901dbcd25d141a7f32c8c624d23ee71f41c4f8feb7ff30093355d8b079a5",
         "dc71bf5660a5373f33b697a857345c88ff8080db91abec9a67a3f4851c4b7e1d",
+    ),
+    "exact-tight": (
+        "c29a735d55d91889078ff9d392ab616d9a50beb75e1bd4f4a65a6d30980e9419",
+        "e83478e66bdbd1520a6f89fac153080863fc1d9abb9a0be3e7d290a91c3ef375",
     ),
     "online": (
         "93d470203ce2730917f2a2f1fde953a57ba529ff9f46a5eb51f40c15e7a1f6df",
@@ -53,13 +58,13 @@ EXACT_SPEC = "massart:k=3,dim=4,tau=0.3,n=40,noise=none"
 ONLINE_SPEC = "massart:k=3,dim=4,tau=0.3,n=400"
 
 
-def run_synthetic(spec, mode, out_dir, policy="coal"):
+def run_synthetic(spec, mode, out_dir, **settings):
     cfg = ExperimentConfig(
         synthetic=parse_synthetic_spec(spec),
-        policy=policy,
         mode=mode,
         seeds=2,
         out_dir=str(out_dir),
+        **settings,
     )
     run_experiment(cfg)
     return csv_hashes(out_dir)
@@ -82,6 +87,13 @@ def run_cli(tmp_path):
 def test_exact_mode_bytes(tmp_path):
     got = run_synthetic(EXACT_SPEC, "exact", tmp_path)
     assert got == PINS["exact"]
+
+
+def test_exact_mode_tight_bytes(tmp_path):
+    # at mellowness 0.01 every exact interval is [0, 1]; at 1e-4 the
+    # intervals narrow, so the games and the bracket decide queries
+    got = run_synthetic(EXACT_SPEC, "exact", tmp_path, mellowness=1e-4)
+    assert got == PINS["exact-tight"]
 
 
 def test_online_mode_bytes(tmp_path):

@@ -585,6 +585,26 @@ def test_cli_rejects_features_whose_squared_norm_overflows(mode, tmp_path):
     assert "(line 1, column 13)" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["online", "exact"])
+def test_cli_rejects_squared_norms_whose_sum_overflows(mode, tmp_path):
+    # each example's squared norm (1.44e308) is finite but their sum is not:
+    # both modes used to print "auc median nan" and exit 0
+    data = tmp_path / "heavy.txt"
+    costs = [(i % 5) / 4 for i in range(40)]
+    data.write_text("".join(f"1:{c} 2:{1 - c} | 1:1.2e154\n" for c in costs), encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "coal.cli", "--data", str(data), "--mode", mode, "--out", ""],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"data error: {data}:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def wide_dataset(tmp_path):
     """60 lines of 3 labels whose sparse features reach index 49 999."""
     rng = np.random.default_rng(11)

@@ -214,30 +214,49 @@ def test_solve_bounded_matches_closed_form_on_diagonal():
         assert obj <= objective(reference) + slack
 
 
-def test_solve_bounded_falls_back_to_lstsq_on_a_singular_system(monkeypatch):
-    # at this scale the 1e-12 ridge is lost in rounding, so G + RIDGE I stays
-    # singular and np.linalg.solve raises (at 1e4 it does not)
+def test_solve_bounded_returns_the_minimum_norm_solution_on_a_singular_system():
+    # at this scale a 1e-12 ridge is lost in rounding, so no ridge makes the
+    # system regular; the eigenbasis drops the null direction instead
     gram = np.full((2, 2), 1e5)
     moment = np.array([5e4, 5e4])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(gram + RIDGE * np.eye(2), moment)
-    np.linalg.solve(np.full((2, 2), 1e4) + RIDGE * np.eye(2), moment)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
     w = solve_bounded_least_squares(gram, moment, bound=10.0)
-    assert calls == [1]
     assert np.all(np.isfinite(w))
     assert np.linalg.norm(w) <= 10.0
-    # every w with w1 + w2 = 0.5 minimises; the fallback returns the one of least norm
+    # every w with w1 + w2 = 0.5 minimises; the solve returns the one of least norm
     assert np.allclose(gram @ w, moment, rtol=0, atol=1e-9)
     assert np.allclose(w, np.linalg.pinv(gram) @ moment, rtol=0, atol=1e-12)
     assert np.allclose(w, [0.25, 0.25], rtol=0, atol=1e-12)
+
+
+def rank_deficient_sums(rng):
+    """Gram and moment of points in a random subspace, summed in two orders."""
+    d = int(rng.integers(3, 7))
+    basis = rng.normal(size=(int(rng.integers(1, d)), d))
+    points = rng.normal(size=(int(rng.integers(1, 8)), basis.shape[0])) @ basis
+    costs = rng.uniform(size=len(points))
+    sums = []
+    for order in (range(len(points)), reversed(range(len(points)))):
+        gram, moment = np.zeros((d, d)), np.zeros(d)
+        for i in order:
+            gram += np.outer(points[i], points[i])
+            moment += costs[i] * points[i]
+        sums.append((gram, moment))
+    return basis, sums
+
+
+def test_solve_bounded_keeps_rank_deficient_weights_on_the_span():
+    # the minimum-norm minimiser lies in the span of the points: nothing of
+    # the rounding on the Gram's null directions may reach the weights
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        basis, sums = rank_deficient_sums(rng)
+        q, _ = np.linalg.qr(basis.T)
+        bound = float(rng.choice((0.5, 10.0)))
+        first, second = (solve_bounded_least_squares(g, h, bound) for g, h in sums)
+        for w in (first, second):
+            off_span = w - q @ (q.T @ w)
+            assert np.linalg.norm(off_span) <= 1e-12 * max(1.0, np.linalg.norm(w))
+        assert np.linalg.norm(first - second) <= 1e-12 * max(1.0, np.linalg.norm(first))
 
 
 def reference_solve(gram, moment, bound):
@@ -320,9 +339,10 @@ def test_solve_bounded_reads_strided_views_and_leaves_them_unchanged():
         assert np.array_equal(w, copied)
 
 
-def test_solve_bounded_equals_first_form_bit_for_bit():
-    # asymmetric Grams: the symmetrise-and-ridge step must round as
-    # (g + g')/2 + RIDGE I does, on both the interior and the sphere path
+def test_solve_bounded_agrees_with_the_first_form():
+    # asymmetric Grams: the eigenbasis solve symmetrises as (g + g')/2 does,
+    # and agrees with the ridge-and-bisection form to rounding on both the
+    # interior and the sphere path
     rng = np.random.default_rng(37)
     for _ in range(200):
         d = int(rng.integers(1, 7))
@@ -333,7 +353,15 @@ def test_solve_bounded_equals_first_form_bit_for_bit():
         before = gram.copy()
         got = solve_bounded_least_squares(gram, moment, bound)
         assert np.array_equal(gram, before)
-        assert np.array_equal(got, reference_solve(gram, moment, bound))
+        want = reference_solve(gram, moment, bound)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        sym = (gram + gram.T) / 2.0
+
+        def objective(v):
+            return float(v @ sym @ v - 2.0 * (moment @ v))
+
+        assert abs(objective(got) - objective(want)) <= 1e-12 * abs(objective(want))
+        assert np.linalg.norm(got) <= bound * (1.0 + 1e-12)
 
 
 def test_label_state_enforces_round_order_and_cost_range():
