@@ -11,19 +11,21 @@ t = 1 (t = 0 for the smallest): each guess asks whether
 
 The bisection starts from the closed-form bracket of RangeProblem.bracket: a
 sound lower end from the ellipsoid each ledger row confines the weights to,
-and an upper end from an exactly feasible witness. Only the guesses inside
-what the bracket leaves open play a multiplicative-weights game between the
-constraints and a minimum-norm least-squares oracle. Each of the m + 1
-constraints is quadratic in g, so RangeProblem holds it as the augmented row
-[[G, h], [h', s]] of coal.oracle, whose quadratic form at [g; -1] is its
-value. A game iteration is two products with that stack: the mu-weighted row
-sum gives the H and b of one oracle.solve_bounded_least_squares call, and
-the product with [g; -1][g; -1]' gives every constraint value.
-separation_oracle is the oracle step's full-ledger form, which weighs every
-ledger entry. An infeasibility verdict exhibits a nonnegative combination of
-constraints that no regressor can satisfy, so it is sound no matter how few
-iterations ran; a feasible verdict comes with the averaged iterate and its
-measured constraint violations.
+and an upper end from an exactly feasible witness; RangeProblem takes views
+of the label's prefix cache and computes the target-free parts once. Only
+the guesses inside what the bracket leaves open play a
+multiplicative-weights game between the constraints and a minimum-norm
+least-squares oracle. Each of the m + 1 constraints is quadratic in g, so
+RangeProblem holds it as the augmented row [[G, h], [h', s]] of coal.oracle,
+whose quadratic form at [g; -1] is its value. A game iteration is two
+products with that stack: the mu-weighted row sum gives the H and b of one
+oracle.solve_bounded_least_squares call, and the product with
+[g; -1][g; -1]' gives every constraint value. separation_oracle is the
+oracle step's full-ledger form, which weighs every ledger entry. An
+infeasibility verdict exhibits a nonnegative combination of constraints that
+no regressor can satisfy, so it is sound no matter how few iterations ran; a
+feasible verdict comes with the averaged iterate and its measured constraint
+violations.
 
 The returned estimates carry a realized tolerance
 
@@ -165,7 +167,8 @@ def mw_iterations(round_i, delta_i, tol, settings=DEFAULT_SETTINGS):
     if tol <= 0:
         raise ValueError("tol must be positive")
     if math.isfinite(delta_i):
-        base = math.log(round_i + 1) * (MW_CONSTANT / delta_i) ** 2 / tol**4
+        # past 1e150 the ratio's square would leave the float range; the cap binds first
+        base = math.log(round_i + 1) * min(MW_CONSTANT / delta_i, 1e150) ** 2 / tol**4
     else:
         base = 0.0
     return max(1, min(settings.t_max, math.ceil(base)))
@@ -218,41 +221,47 @@ class RangeProblem:
 
     Holds the game's m + 1 quadratic constraints as one stack of augmented
     rows (coal.oracle): row j flattens a (d+1)x(d+1) matrix A whose value at
-    weights w is v'Av / n for v = [w; -1] and a normaliser n. Rows 1..m are
-    the label state's rows of the deduplicated ledger prefixes, stacked as
-    LabelState.prefix_row returns them; row 0 is the target's, which each run
-    writes for its t. grams and moments view the stack; m counts rows 1..m.
-    directions and fits hold each prefix's G_eps^-1 x and ridge fit
-    G_eps^-1 h, with G_eps = G + RIDGE I; anchor is the bounded fit on the
-    largest prefix.
+    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack and
+    the per-prefix arrays view LabelState.prefix_cache: rows 1..m are the
+    deduplicated ledger prefixes' rows, row 0 the cache's scratch row, which
+    each run writes for its t. directions holds each prefix's G_eps^-1 x, one
+    product with the cached inverses, and fits its ridge fit G_eps^-1 h, with
+    G_eps = G + RIDGE I; anchor is the label's memoised ERM fit on the
+    largest prefix. The bracket's parts that do not depend on t are built here.
     """
 
     def __init__(self, x, state, bound):
-        self.x = x.to_dense(state.dim)
+        self.x = x = x.to_dense(state.dim)
         self.bound = float(bound)
-        rounds, counts, budgets, radii = state.constraint_view()
-        self.m = int(rounds.size)
-        self.budgets = budgets
-        self.widths = np.concatenate(([2.0], radii + 1.0))
-        self.denoms = np.concatenate(([1.0], rounds - 1.0))
-        d = self.x.size
-        rows = np.stack([state.prefix_row(count) for count in (0, *counts)])
-        self.stack = rows.reshape(self.m + 1, -1)
-        self.grams, self.moments = rows[:, :d, :d], rows[:, :d, d]
-        # regularised, not a pseudo-inverse: a probe off the span of a
-        # prefix's points must read as unbounded leverage under that prefix.
-        # One solve per prefix gives both G_eps^-1 x and the ridge fit G_eps^-1 h.
-        rhs = np.stack((np.broadcast_to(self.x, (self.m, d)), self.moments[1:]), axis=-1)
-        sols = np.linalg.solve(self.grams[1:] + RIDGE * np.eye(d), rhs)
-        self.directions, self.fits = sols[..., 0], sols[..., 1]
-        self.leverage = float(np.min(self.denoms[1:] * (self.directions @ self.x), initial=np.inf))
-        self.anchor = np.zeros(d)  # the empty prefix's fit
-        if self.m:
-            self.anchor = solve_bounded_least_squares(self.grams[-1], self.moments[-1], self.bound)
-
-    def anchor_prediction(self):
-        """Prediction at x of the least-squares fit on the largest prefix."""
-        return float(self.anchor @ self.x)
+        self.stack, inverses, self.fits, residuals, fit_norms, table = state.prefix_cache()
+        self.m = m = len(table)
+        self.budgets = table[:, 2]
+        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
+        self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
+        self.directions = inverses @ x
+        leverages = np.maximum(self.directions @ x, 0.0)
+        self.leverage = float(np.min(self.denoms[1:] * leverages, initial=np.inf))
+        self.anchor = state.erm_weights(int(table[-1, 0]), self.bound) if m else np.zeros(x.size)
+        # The outer range, and the witness path: the anchor plus alpha times
+        # the step up, the last prefix's G_eps^-1 x. Along it each budget row
+        # and the ball's |w|^2 is c alpha^2 + 2 b alpha + a; toward a smaller
+        # target only b's sign changes. Square roots taken factor by factor,
+        # and hypot, keep every product within the float range.
+        budgets = self.budgets * self.denoms[1:]
+        rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
+        centres, half = self.fits @ x, np.sqrt(rho) * np.sqrt(leverages)
+        reach = self.bound * math.sqrt(float(x @ x))
+        lo, hi = np.max(centres - half, initial=-reach), np.min(centres + half, initial=reach)
+        self.outer, self.start = (float(lo), float(hi)), float(self.anchor @ x)
+        self.up = self.directions[-1] if m else x
+        v, dv = np.append(self.anchor, -1.0), np.append(self.up, 0.0)
+        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
+        ball = [self.anchor @ self.anchor, self.anchor @ self.up, self.up @ self.up]
+        a, self.slopes, c = np.vstack((self.stack[1:] @ forms.reshape(3, -1).T, ball)).T
+        self.room = np.append(budgets, self.bound**2) - a
+        self.broken = bool(np.any(self.room < 0.0))  # the anchor itself breaks a budget
+        self.curvatures = np.maximum(c, 0.0)
+        self.disc = np.hypot(self.slopes, np.sqrt(self.curvatures) * np.sqrt(np.abs(self.room)))
 
     def bracket(self, t):
         """Closed-form (c_lo, c_hi, witness) for the search against target t.
@@ -261,7 +270,7 @@ class RangeProblem:
         confines w to (w - fit_j)' G_eps (w - fit_j) <= rho_j, so the
         prediction at x lies within sqrt(rho_j x'G_eps^-1 x) of fit_j . x;
         c_lo is the squared distance from t to the intersection of these
-        ranges and the ball's +-bound |x|. c_hi comes from an exactly
+        ranges and the ball's +-bound |x| (outer). c_hi comes from an exactly
         feasible regressor: the anchor fit moved along the last prefix's
         G_eps^-1 x toward t. Every row's value and |w|^2 are quadratics in the
         step, so the largest step within every budget is a minimum of roots;
@@ -269,31 +278,18 @@ class RangeProblem:
         rounding. witness is its weights, or None (and c_hi is 1) when the
         anchor itself breaks a budget.
         """
-        x, rows = self.x, self.stack[1:]
-        budgets = self.budgets * self.denoms[1:]
-        fit_norms = np.sqrt(np.einsum("ij,ij->i", self.fits, self.fits))
-        residuals = rows[:, -1] - np.einsum("ij,ij->i", self.moments[1:], self.fits)
-        rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
-        half = np.sqrt(rho * np.maximum(self.directions @ x, 0.0))
-        centres, ball_reach = self.fits @ x, self.bound * math.sqrt(float(x @ x))
-        lo = float(np.max(centres - half, initial=-ball_reach))
-        hi = float(np.min(centres + half, initial=ball_reach))
+        lo, hi = self.outer
         c_lo = min(max(lo - t, t - hi, 0.0) ** 2, 1.0)
-
-        start = float(self.anchor @ x)
-        step = math.copysign(1.0, t - start) * (self.directions[-1] if self.m else x)
-        v, dv = np.append(self.anchor, -1.0), np.append(step, 0.0)
-        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
-        ball = [self.anchor @ self.anchor, self.anchor @ step, step @ step]
-        a, b, c = np.vstack((rows @ forms.reshape(3, -1).T, ball)).T
-        room = np.append(budgets, self.bound**2) - a
-        if np.any(room < 0.0):
+        if self.broken:
             return c_lo, 1.0, None
-        c = np.maximum(c, 0.0)
-        disc = np.sqrt(b * b + c * room)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the larger root of c alpha^2 + 2 b alpha = room, in its cancellation-free form
-            roots = np.where(b < 0.0, (disc - b) / c, room / (b + disc))
+        x, start = self.x, self.start
+        sign = math.copysign(1.0, t - start)
+        step, b = sign * self.up, sign * self.slopes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the larger root of c alpha^2 + 2 b alpha = room, in its
+            # cancellation-free form; one past the float range is no limit
+            disc, c = self.disc, self.curvatures
+            roots = np.where(b < 0.0, (disc - b) / c, self.room / (b + disc))
             alpha = min(float(roots.min()), abs((t - start) / (x @ step)))
         # nan: a row at its budget with no slope; inf: x = 0, no step moves
         # the prediction. Either way the witness is the anchor.
@@ -409,7 +405,7 @@ def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
     # short of the target from one just past it; the witness prediction (or
     # the anchor fit when nothing was feasible) pins the side, and a space
     # past the target saturates the clamped cost at that end
-    side = problem.anchor_prediction() if witness is None else float(witness @ problem.x)
+    side = problem.start if witness is None else float(witness @ problem.x)
     if target == 1:
         raw = 1.0 if side > 1.0 else 1.0 - math.sqrt(c_lo)
     else:

@@ -144,9 +144,11 @@ class ExperimentConfig:
             self.schedule(1, 1, 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # written as range tests, so that NaN fails them
+        # written as range tests, so that NaN fails them; exact mode doubles the bound's square
         if not (0.0 < self.learning_rate < math.inf and 0.0 < self.norm_bound < math.inf):
             raise ConfigError("learning rate and norm bound must be positive and finite")
+        if not math.isfinite(2.0 * self.norm_bound * self.norm_bound):
+            raise ConfigError(f"norm bound {self.norm_bound:g}: its doubled square overflows")
         if self.seeds < 1 or self.budget_base < 1:
             raise ConfigError("seeds and budget base must be at least 1")
         if self.seed_passive < 0:
@@ -433,7 +435,8 @@ def run_experiment(cfg):
     rows = []
     aucs = []
     for seed in range(cfg.seeds):
-        points, _ = run_seed(cfg, seed, trains[seed], test, k, dim)
+        # keep no state: the next seed would run beside this one's caches
+        points = run_seed(cfg, seed, trains[seed], test, k, dim)[0]
         rows.extend((seed, p) for p in points)
         aucs.append((seed, _curve_auc(points)))
 

@@ -5,9 +5,10 @@ ledger of per-round risk budgets. The history is held as augmented rows: for
 each prefix of the queried points, the (d+1)x(d+1) sum of u u' with
 u = [x; cost], whose blocks [[G, h], [h', s]] are the Gram, the moment and
 the squared costs, and whose quadratic form at [w; -1] is the squared loss
-of w. Only LabelState builds these rows; coal.cost_range stacks them as the
-constraints of its feasibility games. Regressors are linear with an L2 norm
-bound; fitting solves
+of w. Only LabelState builds these rows; once per deduplicated ledger prefix
+it caches all that coal.cost_range reads of one (LabelState.prefix_cache),
+and it memoises its last ERM fit, which the refit and the next round's cost
+ranges share. Regressors are linear with an L2 norm bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RIDGE = 1e-12  # coal.cost_range's regularised solves use G + RIDGE I; the bounded solve needs none
+RIDGE = 1e-12  # the prefix cache's solves use G + RIDGE I; the bounded solve needs none
 RANGE_RTOL = 1e-8  # a part of b on a null direction below this share of ||b|| is rounding
 NEWTON_RTOL = 1e-13  # the sphere's ||w|| is returned within this relative distance of the bound
 NEWTON_CAP = 50  # a safety net: from the lower bound Newton needs a handful of steps
@@ -141,9 +142,11 @@ class LabelState:
         self.rounds = []
         self.ledger = []
         self._rows = []  # augmented rows of the first 1, 2, ... points
-        # earliest ledger entry per distinct point count: the binding
-        # constraint of each no-query stretch (later rounds only relax it)
-        self._dedup = []
+        # (round, count, budget, radius) of the earliest ledger entry per
+        # distinct point count, the binding one (later rounds only relax it)
+        self._table, self.n_prefixes = np.zeros((0, 4)), 0
+        self._cache, self._cached = (), 0  # prefix_cache's arrays; prefixes filled
+        self._fit = (None,) * 4  # memo: (count, bound, weights, unnormalised risk)
 
     @property
     def n_points(self):
@@ -183,13 +186,25 @@ class LabelState:
         k = self.n_points_before(round_j)
         if round_j <= 1 or k == 0:
             return 0.0
+        if weights is self._fit[2] and k == self._fit[0]:  # the memoised fit
+            return self._fit[3] / (round_j - 1)
         v = np.append(weights, -1.0)
         return max(float(v @ self.prefix_row(k) @ v), 0.0) / (round_j - 1)
 
     def erm_weights(self, round_j, bound):
-        """Bounded least-squares weights for the prefix before round_j."""
-        g, h, _ = self.prefix_sums(self.n_points_before(round_j))
-        return solve_bounded_least_squares(g, h, bound)
+        """Bounded least-squares weights for the prefix before round_j.
+
+        Memoised, read-only, for the last prefix and bound, together with the
+        fit's unnormalised risk, which risk_of_weights of these weights reads.
+        """
+        count = self.n_points_before(round_j)
+        if self._fit[:2] != (count, bound):
+            g, h, _ = self.prefix_sums(count)
+            w = solve_bounded_least_squares(g, h, bound)
+            w.flags.writeable = False
+            v = np.append(w, -1.0)
+            self._fit = (count, bound, w, max(float(v @ self.prefix_row(count) @ v), 0.0))
+        return self._fit[2]
 
     def append_ledger(self, round_j, erm_risk, delta):
         if self.ledger and round_j <= self.ledger[-1].round:
@@ -199,12 +214,47 @@ class LabelState:
         entry = LedgerEntry(round_j, erm_risk + delta)
         self.ledger.append(entry)
         count = self.n_points_before(round_j)
-        if count > 0 and (not self._dedup or count > self._dedup[-1][1]):
-            self._dedup.append((round_j, count, entry.delta_tilde, delta))
+        m = self.n_prefixes
+        if count > (self._table[m - 1, 1] if m else 0):
+            if m == len(self._table):  # double the capacity
+                self._table = np.resize(self._table, (2 * m + 1, 4))
+            self._table[m] = round_j, count, entry.delta_tilde, delta
+            self.n_prefixes = m + 1
         return entry
 
+    def prefix_cache(self):
+        """Per deduplicated prefix, in ledger order, views of: the flattened
+        augmented rows (stack, whose extra row 0 is scratch for the caller's
+        own), G_eps^-1 for G_eps = G + RIDGE I, the ridge fits G_eps^-1 h,
+        s - h'fit, |fit| and the (round, count, budget, radius) entries.
+
+        Each prefix is filled in once, at the first read after the ledger
+        added it, so a ledger that no cost range reads solves nothing.
+        """
+        m, d = self.n_prefixes, self.dim
+        shapes = ((d + 1) ** 2,), (d, d), (d,), (), ()
+        if not m:  # a scratch row and empty views, none of them kept
+            return (*(np.zeros((int(i == 0), *s)) for i, s in enumerate(shapes)), self._table[:0])
+        if not self._cache or m >= len(self._cache[0]):  # allocate, or double
+            old = self._cache or [np.zeros((1, *shape)) for shape in shapes]
+            self._cache = [np.resize(a, (2 * m + 1, *a.shape[1:])) for a in old]
+        stack, inverses, fits, residuals, fit_norms = self._cache
+        for j in range(self._cached + 1, m + 1):
+            row = self._rows[int(self._table[j - 1, 1]) - 1]
+            h, rhs = row[:d, d], np.eye(d, d + 1)
+            # regularised, not a pseudo-inverse: a probe off the span of a
+            # prefix's points must read as unbounded leverage under that prefix
+            gram = row[:d, :d] + RIDGE * rhs[:, :d]
+            rhs[:, d] = h
+            solved = np.linalg.solve(gram, rhs)  # [G_eps^-1 | fit]
+            stack[j], inverses[j], fits[j] = row.ravel(), solved[:, :d], solved[:, d]
+            residuals[j] = row[d, d] - np.einsum("i,i->", h, fits[j])
+            fit_norms[j] = math.sqrt(np.einsum("i,i->", fits[j], fits[j]))
+        self._cached = m
+        return stack[: m + 1], *(a[1 : m + 1] for a in self._cache[1:]), self._table[:m]
+
     def constraint_view(self):
-        """Deduplicated ledger constraints as (rounds, counts, budgets, radii)."""
-        table = np.array(self._dedup, dtype=np.float64).reshape(-1, 4)
+        """Deduplicated ledger constraints as (rounds, counts, budgets, radii), copied."""
+        table = self._table[: self.n_prefixes]
         rounds, counts = table[:, :2].T.astype(np.int64)
-        return rounds, counts, table[:, 2], table[:, 3]
+        return rounds, counts, table[:, 2].copy(), table[:, 3].copy()

@@ -6,6 +6,7 @@ import pytest
 from coal.cost_range import (
     CERTIFICATE_SLACK,
     CHECK_EVERY,
+    STEP_MARGIN,
     CostInterval,
     MwConfig,
     MwFeasible,
@@ -23,7 +24,9 @@ from coal.cost_range import (
     separation_oracle,
 )
 from coal.data import sparse_vector
+from coal.harness import ExperimentConfig, parse_synthetic_spec, run_experiment
 from coal.oracle import (
+    RIDGE,
     LabelState,
     LinearRegressor,
     WeightedPoint,
@@ -125,6 +128,7 @@ def test_mw_iterations_formula_and_cap():
     assert mw_iterations(3, 2.0, 0.5) == 799
     assert mw_iterations(3, 0.001, 0.1) == 2000  # capped
     assert mw_iterations(3, math.inf, 0.5) == 1  # vacuous radius
+    assert mw_iterations(3, 1e-300, 0.5) == 2000  # (12 / Delta)^2 leaves the float range
     custom = MwSettings(t_max=50)
     assert mw_iterations(3, 0.001, 0.1, custom) == 50
 
@@ -630,7 +634,6 @@ def test_exact_run_settles_its_searches_in_closed_form(monkeypatch):
     # The exact-coal benchmark stream for benchmark seed 1. Each of its
     # RangeProblems serves two searches; at most 2% of them may play a game.
     from coal import cost_range
-    from coal.harness import ExperimentConfig, parse_synthetic_spec, run_experiment
 
     calls = {"problems": 0, "games": 0}
 
@@ -651,3 +654,184 @@ def test_exact_run_settles_its_searches_in_closed_form(monkeypatch):
     run_experiment(cfg)
     assert calls["problems"] >= 200
     assert calls["games"] <= 0.02 * 2 * calls["problems"]
+
+
+def test_exact_round_factorises_each_prefix_once(monkeypatch):
+    # The exact-coal benchmark stream for benchmark seed 1. coal.oracle and
+    # coal.cost_range look np.linalg's functions up on numpy's module, so the
+    # wrappers see every call: one factorisation per deduplicated ledger
+    # prefix, at its first read, not one per prefix and problem; eigh outside
+    # the games (the refit, whose memo the next round's anchors share) at most
+    # once per label and round. This guards the O(m d^2) round untimed.
+    from coal import harness
+
+    calls = {"factorisations": 0, "eigh": 0, "game_eigh": 0, "problems": 0}
+    depth = [0]
+
+    def counted(original, name):
+        def wrapper(*args, **kwargs):
+            # a stacked (..., d, d) argument factorises every matrix it holds
+            matrices = int(np.prod(np.shape(args[0])[:-2])) if name != "problems" else 1
+            calls["game_eigh" if name == "eigh" and depth[0] else name] += matrices
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "factorisations"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(RangeProblem, "__init__", counted(RangeProblem.__init__, "problems"))
+    run = RangeProblem.run
+
+    def game(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return run(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RangeProblem, "run", game)
+    states = []
+    run_seed = harness.run_seed
+
+    def kept(*args, **kwargs):
+        result = run_seed(*args, **kwargs)
+        states.append(result[1])
+        return result
+
+    monkeypatch.setattr(harness, "run_seed", kept)
+    spec = parse_synthetic_spec("massart:k=3,dim=4,tau=0.3,n=80,noise=none")
+    cfg = ExperimentConfig(
+        synthetic=spec, mode="exact", seeds=1, out_dir="", synthetic_seed_base=1_001_000
+    )
+    run_experiment(cfg)
+    (state,) = states
+    prefixes = sum(label.n_prefixes for label in state.labels)
+    assert prefixes == sum(len(label.constraint_view()[0]) for label in state.labels) > 200
+    assert calls["problems"] == 3 * (state.round - 1)
+    for label in state.labels:  # the prefixes the last refit added, read by no round
+        label.prefix_cache()
+    assert calls["factorisations"] == prefixes
+    assert calls["eigh"] <= state.k * (state.round - 1)
+
+
+def stacked_reference(x, state, bound):
+    """The prefix quantities and brackets as RangeProblem built them per problem
+    before the prefix cache: one np.stack of every prefix row, m stacked
+    solves of G_eps against [x, h], and a fresh anchor fit."""
+    rounds, counts, budgets, _ = state.constraint_view()
+    m, d = rounds.size, x.size
+    rows = np.stack([state.prefix_row(c) for c in (0, *counts)])
+    grams, moments = rows[:, :d, :d], rows[:, :d, d]
+    rhs = np.stack((np.broadcast_to(x, (m, d)), moments[1:]), axis=-1)
+    sols = np.linalg.solve(grams[1:] + RIDGE * np.eye(d), rhs)
+    directions, fits = sols[..., 0], sols[..., 1]
+    denoms = rounds - 1.0
+    residuals = rows[1:, d, d] - np.einsum("ij,ij->i", moments[1:], fits)
+    anchor = solve_bounded_least_squares(grams[-1], moments[-1], bound) if m else np.zeros(d)
+
+    def bracket(t):
+        unnormalised = budgets * denoms
+        fit_norms = np.sqrt(np.einsum("ij,ij->i", fits, fits))
+        rho = np.maximum(unnormalised + RIDGE * (bound + fit_norms) ** 2 - residuals, 0.0)
+        half = np.sqrt(rho * np.maximum(directions @ x, 0.0))
+        centres, reach = fits @ x, bound * math.sqrt(float(x @ x))
+        lo = float(np.max(centres - half, initial=-reach))
+        hi = float(np.min(centres + half, initial=reach))
+        c_lo = min(max(lo - t, t - hi, 0.0) ** 2, 1.0)
+        start = float(anchor @ x)
+        step = math.copysign(1.0, t - start) * (directions[-1] if m else x)
+        v, dv = np.append(anchor, -1.0), np.append(step, 0.0)
+        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
+        ball = [anchor @ anchor, anchor @ step, step @ step]
+        a, b, c = np.vstack((rows.reshape(m + 1, -1)[1:] @ forms.reshape(3, -1).T, ball)).T
+        room = np.append(unnormalised, bound**2) - a
+        if np.any(room < 0.0):
+            return c_lo, 1.0, None
+        c = np.maximum(c, 0.0)
+        disc = np.sqrt(b * b + c * room)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.where(b < 0.0, (disc - b) / c, room / (b + disc))
+            alpha = min(float(roots.min()), abs((t - start) / (x @ step)))
+        alpha = alpha if math.isfinite(alpha) else 0.0
+        witness = anchor + alpha * (1.0 - STEP_MARGIN) * step
+        return c_lo, min(max((witness @ x - t) ** 2, c_lo), 1.0), witness
+
+    leverage = float(np.min(denoms * (directions @ x), initial=np.inf))
+    return dict(directions=directions, fits=fits, residuals=residuals, leverage=leverage,
+                anchor=anchor, bracket=bracket)  # fmt: skip
+
+
+def test_prefix_cache_matches_the_stacked_construction():
+    # Random ledgers with d from 1 to 6: points from a random subspace (so
+    # most prefixes of the rank-deficient ones are singular), several points
+    # between ledger entries and no-query stretches (deduplicated entries),
+    # append_ledger called directly as criterion 1 does, and up to 40
+    # prefixes, so the cache doubles up to six times.
+    #
+    # Stated tolerances. The fits and residuals come from the same solve and
+    # agree to 1e-12 (measured: bit for bit). Where G_eps is well conditioned
+    # (every prefix of full rank, cond <= 1e8), G_eps^-1 x from the cached
+    # inverse and from a solve agree to 1e-9, and so do both brackets
+    # (measured worst: 2.4e-15). A singular prefix's G_eps has cond near
+    # 1e13, and the two differ by up to a few percent in G_eps^-1 x (exact
+    # rational arithmetic puts both within 4e-2 of the leverage), which moves
+    # c_lo and c_hi by at most 1e-2 here (measured worst: 8.2e-4).
+    rng = np.random.default_rng(5)
+    worst = {"well": 0.0, "singular": 0.0}
+    for trial in range(300):
+        d = int(rng.integers(1, 7))
+        rank = d if trial % 2 else int(rng.integers(1, d + 1))
+        basis = rng.normal(size=(d, rank))
+        state = LabelState(1, dim=d)
+        bound = float(rng.choice((0.5, 2.0, 10.0)))
+        round_i = 1
+        for _ in range(int(rng.integers(0, 41))):
+            for _ in range(int(rng.integers(1, 4))):
+                z = basis @ rng.normal(size=rank)
+                state.append_point(round_i, sparse_vector(list(enumerate(z))), rng.uniform())
+                round_i += 1
+            for _ in range(int(rng.integers(1, 3))):
+                round_i += 1
+                state.append_ledger(round_i, rng.uniform(0.0, 0.2), rng.uniform(0.001, 0.3))
+        z = basis @ rng.normal(size=rank) + (rng.uniform() < 0.5) * rng.normal(size=d)
+        x = sparse_vector(list(enumerate(z)))
+        problem = RangeProblem(x, state, bound)
+        want = stacked_reference(problem.x, state, bound)
+        _, _, fits, residuals, _, _ = state.prefix_cache()
+        assert problem.m == state.n_prefixes == len(state.constraint_view()[0])
+        assert np.allclose(fits, want["fits"], rtol=1e-12, atol=0.0)
+        assert np.allclose(residuals, want["residuals"], rtol=1e-12, atol=1e-300)
+        # the anchor is the memoised fit, the very solve a fresh call makes
+        assert np.array_equal(problem.anchor, want["anchor"])
+        well = rank == d and all(
+            np.linalg.cond(state.prefix_row(c)[:d, :d] + RIDGE * np.eye(d)) <= 1e8
+            for c in state.constraint_view()[1]
+        )
+        if well and problem.m:
+            scale = np.abs(want["directions"]).max()
+            assert np.abs(problem.directions - want["directions"]).max() <= 1e-9 * scale
+            assert problem.leverage == pytest.approx(want["leverage"], rel=1e-9)
+        for target in (0, 1):
+            got, ref = problem.bracket(target), want["bracket"](target)
+            gap = max(abs(got[0] - ref[0]), abs(got[1] - ref[1]))
+            key = "well" if well else "singular"
+            worst[key] = max(worst[key], gap)
+            assert (got[2] is None) == (ref[2] is None)
+            if well and got[2] is not None:
+                assert np.abs(got[2] - ref[2]).max() <= 1e-9 * bound
+    assert worst["well"] <= 1e-9 and worst["singular"] <= 1e-2, worst
+
+
+def test_constraint_view_copies_leave_later_problems_unchanged():
+    rng = np.random.default_rng(7)
+    state, basis = random_ledger_state(rng, 3, 6, 2.0)
+    x = sparse_vector(list(enumerate(basis @ rng.normal(size=basis.shape[1]))))
+    before = RangeProblem(x, state, 2.0)
+    outer, budgets = before.outer, before.budgets.copy()
+    for array in state.constraint_view():
+        array[:] = 0
+    after = RangeProblem(x, state, 2.0)
+    assert after.outer == outer and np.array_equal(after.budgets, budgets)
+    assert np.array_equal(after.stack, before.stack)
+    assert list(state.constraint_view()[0]) == list(after.denoms[1:] + 1.0)

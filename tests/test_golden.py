@@ -1,9 +1,11 @@
-"""Golden output: the curve and summary CSV bytes of six fixed runs.
+"""Golden output: the curve and summary CSV bytes of seven fixed runs.
 
 Each run's two CSVs are pinned by their sha256, so a change that moves any
 learning curve by a single byte fails here, whatever its size. The pins
 cover exact mode (feasibility games and the ledger refit), exact mode at a
-small mellowness (where its intervals narrow and decide queries), online
+small mellowness (where its intervals narrow and decide queries), a long
+exact run (about a thousand ledger prefixes per label, so the per-prefix
+caches grow through many doublings), online
 mode (the closed-form range probe), the passive baseline in each mode (no
 range probe, every label queried) and the command line on a text dataset
 with a label tree. A change that is meant to move these bytes updates the
@@ -27,6 +29,10 @@ PINS = {
     "exact-tight": (
         "c29a735d55d91889078ff9d392ab616d9a50beb75e1bd4f4a65a6d30980e9419",
         "e83478e66bdbd1520a6f89fac153080863fc1d9abb9a0be3e7d290a91c3ef375",
+    ),
+    "exact-long": (
+        "1e2dd0204f69b20c7033ab4c4ee1b22f429c7ed8ce8c88af0b363c709182e4d9",
+        "9e4bbd50a53f613816907ac1970dc05f1bf5ce170c2148c64a9c415113075acc",
     ),
     "online": (
         "93d470203ce2730917f2a2f1fde953a57ba529ff9f46a5eb51f40c15e7a1f6df",
@@ -58,11 +64,11 @@ EXACT_SPEC = "massart:k=3,dim=4,tau=0.3,n=40,noise=none"
 ONLINE_SPEC = "massart:k=3,dim=4,tau=0.3,n=400"
 
 
-def run_synthetic(spec, mode, out_dir, **settings):
+def run_synthetic(spec, mode, out_dir, seeds=2, **settings):
     cfg = ExperimentConfig(
         synthetic=parse_synthetic_spec(spec),
         mode=mode,
-        seeds=2,
+        seeds=seeds,
         out_dir=str(out_dir),
         **settings,
     )
@@ -94,6 +100,11 @@ def test_exact_mode_tight_bytes(tmp_path):
     # intervals narrow, so the games and the bracket decide queries
     got = run_synthetic(EXACT_SPEC, "exact", tmp_path, mellowness=1e-4)
     assert got == PINS["exact-tight"]
+
+
+def test_exact_mode_long_run_bytes(tmp_path):
+    got = run_synthetic("massart:k=5,dim=8,tau=0.3,n=1024", "exact", tmp_path, seeds=1)
+    assert got == PINS["exact-long"]
 
 
 def test_online_mode_bytes(tmp_path):

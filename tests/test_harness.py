@@ -150,6 +150,7 @@ def test_config_needs_exactly_one_source(tmp_path):
         dict(radius_mode="loose"),
         dict(seed_passive=-1),
         dict(hierarchy="tree.txt"),  # hierarchy without a dataset
+        dict(norm_bound=1e160),  # finite, but its square is not
     ],
 )
 def test_config_validation(kwargs):
@@ -602,6 +603,56 @@ def test_cli_rejects_squared_norms_whose_sum_overflows(mode, tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"data error: {data}:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def run_cli_warnings_as_errors(*args):
+    """coal.cli on a short synthetic stream, in a subprocess where any RuntimeWarning raises."""
+    root = Path(__file__).resolve().parent.parent
+    argv = ["--synthetic", "massart:k=3,dim=4,n=30", "--seeds", "1", "--out", "", *args]
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "coal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+
+
+def test_cli_rejects_a_norm_bound_whose_square_overflows():
+    # exact mode's bracket squares the bound: 1e160 used to exit 1 with an OverflowError
+    proc = run_cli_warnings_as_errors("--mode", "exact", "--norm-bound", "1e160")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error:") and "1e+160" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "mode, setting",
+    [
+        (mode, setting)
+        for setting in (
+            ("--norm-bound", "1e150"),
+            ("--norm-bound", "9e153"),  # near the largest accepted bound
+            ("--radius", "theory", "--kappa", "1e300"),
+        )
+        for mode in ("online", "exact")
+    ]
+    # online mode's break-even ratio still overflows at this mellowness
+    + [("exact", ("--mellowness", "1e300"))],
+)
+def test_cli_runs_extreme_settings_without_a_runtime_warning(mode, setting):
+    # in exact mode each used to exit 0 with overflow warnings from the
+    # bracket, or, past a norm bound of 1e154, to exit 1
+    proc = run_cli_warnings_as_errors("--mode", mode, *setting)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "auc median" in proc.stdout
+
+
+def test_cli_runs_a_tiny_mellowness_in_exact_mode():
+    # the game budget (12 / Delta)^2 used to raise OverflowError; it saturates at t_max
+    proc = run_cli_warnings_as_errors("--mode", "exact", "--mellowness", "1e-300")
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
 
