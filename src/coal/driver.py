@@ -73,11 +73,13 @@ class LearnerState:
     Holds one LabelState per label, the (K, dim) weight table that predicts
     every label's cost in both modes (exact mode stores each label's refit ERM
     in its row, online mode updates the rows in place), the online step-size
-    accumulators (None in exact mode), the query log, and the round counter
-    (1-based: round = processed examples + 1). The LabelStates keep history
-    and ledger only under track_exact_ledger (exact mode's default), so an
-    online run keeps O(K * dim) state. Each round reads policy afresh, so
-    run_seed plays its warm-up rounds by switching it to passive.
+    accumulators (None in exact mode), one OnlineRegressor per label viewing
+    its rows of both tables (built once; none in exact mode), the query log,
+    and the round counter (1-based: round = processed examples + 1). The
+    LabelStates keep history and ledger only under track_exact_ledger (exact
+    mode's default), so an online run keeps O(K * dim) state. Each round reads
+    policy afresh, so run_seed plays its warm-up rounds by switching it to
+    passive.
     """
 
     def __init__(
@@ -112,11 +114,13 @@ class LearnerState:
         self.labels = [LabelState(y, dim) for y in range(1, k + 1)]
         self.weights = np.zeros((k, dim))
         self.accumulators = np.zeros((k, dim)) if mode == "online" else None
+        rows = zip(self.weights, self.accumulators) if mode == "online" else ()
+        self.regressors = [OnlineRegressor(*row, base_rate) for row in rows]
         self.log = QueryLog(k)
 
     def predicted_costs(self, x):
         """Current clamped cost predictions, one per label."""
-        return np.clip(self.weights[:, x.indices] @ x.values, 0.0, 1.0)
+        return np.minimum(np.maximum(self.weights[:, x.indices] @ x.values, 0.0), 1.0)
 
 
 def _decide(policy, los, his, threshold):
@@ -203,9 +207,7 @@ def observe_costs(state, x, decision, costs):
         if state.track_exact_ledger:
             state.labels[y - 1].append_point(i, x, c)
         if state.mode == "online":
-            # the regressor views the label's rows, so the update writes the tables
-            rows = state.weights[y - 1], state.accumulators[y - 1]
-            online_update(OnlineRegressor(*rows, state.base_rate), x, c, 1.0)
+            online_update(state.regressors[y - 1], x, c, 1.0)
     state.log.record(decision.to_query)
 
     if state.track_exact_ledger:

@@ -36,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ACCUM_FLOOR = 1e-12
+# delta * s stays finite up to this radius unless s > 1e208; an inf saturates u at 1 anyway
+CALM_RADIUS = 1e100
+_SIDES = np.array([[0.0], [1.0]])  # the cost each row of the (2, K) range arrays moves toward
 
 
 @dataclass
@@ -79,8 +82,8 @@ def online_update(regressor, x, cost, weight):
     grown = acc + weight * val * val
     if weight < 0 and np.any(grown <= 0):
         raise ValueError("negative weight would empty an accumulator")
-    d_int = 2.0 * float(np.sum(np.sqrt(grown) - np.sqrt(acc)))
-    residual = regressor.raw(x) - cost
+    d_int = 2.0 * float((np.sqrt(grown) - np.sqrt(acc)).sum())
+    residual = float(regressor.weights[idx] @ val) - cost
     shrink = residual * (1.0 - math.exp(-2.0 * regressor.base_rate * d_int))
     regressor.weights[idx] -= val * (shrink / norm_sq)
     regressor.accumulators[idx] = grown
@@ -115,13 +118,14 @@ def _gap_moves(gap, s, deltas):
     weighted squared error by w (gap^2 - (gap - w s)^2) = w^2 s (2 gap - w s),
     which grows until the move spans the gap (w s = gap). With u = w s / gap
     the break-even weight solves u^2 (2 - u) = delta s / gap^3, and the move
-    is u * gap.
+    is u * gap. gap and s are (2, K) (one row per side), deltas a scalar or
+    (K,); r is 0 off the live entries, where round 1 of the mellow schedule
+    pairs delta = inf with s = 0.
     """
     live = (gap > 0) & (s > 0)
-    u = np.zeros(gap.shape)
-    # r only where live: round 1 of the mellow schedule has delta = inf with s = 0
-    u[live] = _gap_fraction(deltas[live] * s[live] / gap[live] ** 3)
-    return u * gap
+    r = np.multiply(deltas, s, out=np.zeros(gap.shape), where=live)
+    np.divide(r, gap**3, out=r, where=live)
+    return _gap_fraction(r) * gap
 
 
 def _break_even(p_sq_gap, s, delta, cap):
@@ -138,19 +142,23 @@ def _break_even(p_sq_gap, s, delta, cap):
 def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
     """Cost intervals of K regressors sharing one point, as (lo, hi) arrays.
 
-    weight_rows/accum_rows are (K, dim); deltas broadcasts over labels. Each
-    side asks how far the prediction could move toward 0 (resp. 1) before the
-    weighted squared-error increase of the move exceeds delta; the move per
+    weight_rows/accum_rows are (K, dim); deltas is a scalar or one per label.
+    Each side asks how far the prediction could move toward 0 (row 0 of the
+    (2, K) gaps and sensitivities) or toward 1 (row 1) before the weighted
+    squared-error increase of the move exceeds delta; the move per
     importance weight w is w * sensitivity.
     """
     idx, val = x.indices, x.values
-    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), weight_rows.shape[:1])
     raw = weight_rows[:, idx] @ val
-    p = np.clip(raw, 0.0, 1.0)
+    p = np.minimum(np.maximum(raw, 0.0), 1.0)
     acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)
     scale = (val * val / np.sqrt(acc)).sum(axis=1)
-    s_lo = 2.0 * base_rate * np.abs(raw) * scale
-    s_hi = 2.0 * base_rate * np.abs(raw - 1.0) * scale
-    lo = p - _gap_moves(p, s_lo, deltas)
-    hi = p + _gap_moves(1.0 - p, s_hi, deltas)
-    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    gaps = np.abs(_SIDES - p)
+    sens = 2.0 * base_rate * np.abs(raw - _SIDES) * scale
+    calm = deltas <= CALM_RADIUS
+    if calm is True or np.all(calm):  # a float radius skips numpy's reduction
+        moves = _gap_moves(gaps, sens, deltas)
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            moves = _gap_moves(gaps, sens, deltas)
+    return np.maximum(p - moves[0], 0.0), np.minimum(p + moves[1], 1.0)

@@ -15,6 +15,7 @@ from coal.driver import (
     process_example,
     psi,
 )
+from coal.online import OnlineRegressor
 from coal.synthetic import gen_stream, massart
 
 BIAS = sparse_vector([(0, 1.0)])
@@ -249,6 +250,31 @@ def test_online_observe_updates_view_backed_regressors():
     assert state.weights[1, 0] == 0.0
     assert state.accumulators[0, 0] == 1.0
     assert not state.labels[1].ledger  # online mode leaves the ledger off
+
+
+def test_online_regressors_view_the_tables_and_are_built_once(monkeypatch):
+    state = fresh_state(k=3, dim=4, mode="online")
+    for row, regressor in enumerate(state.regressors):
+        assert np.shares_memory(regressor.weights, state.weights[row])
+        assert np.shares_memory(regressor.accumulators, state.accumulators[row])
+    state.weights[:] = np.arange(12.0).reshape(3, 4)
+    assert np.array_equal(state.regressors[2].weights, [8.0, 9.0, 10.0, 11.0])
+    state.weights[:] = 0.0
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return OnlineRegressor(*args)
+
+    monkeypatch.setattr("coal.driver.OnlineRegressor", counting)
+    stream, _ = gen_stream(3, 3, massart(0.2), 50, seed=7)
+    for ex in stream:
+        decision = process_example(state, ex.features)
+        observe_costs(state, ex.features, decision, ex.costs)
+    assert state.log.l2 > 0 and state.weights.any()
+    assert built == []
+    assert fresh_state(mode="exact").regressors == []
 
 
 def test_online_ledger_tracking_opt_in():

@@ -1,15 +1,15 @@
-"""Golden output: the curve and summary CSV bytes of seven fixed runs.
+"""Golden output: the curve and summary CSV bytes of eight fixed runs.
 
 Each run's two CSVs are pinned by their sha256, so a change that moves any
 learning curve by a single byte fails here, whatever its size. The pins
 cover exact mode (feasibility games and the ledger refit), exact mode at a
 small mellowness (where its intervals narrow and decide queries), a long
 exact run (about a thousand ledger prefixes per label, so the per-prefix
-caches grow through many doublings), online
-mode (the closed-form range probe), the passive baseline in each mode (no
-range probe, every label queried) and the command line on a text dataset
-with a label tree. A change that is meant to move these bytes updates the
-pins and records the AUC before and after in CHANGES.md.
+caches grow through many doublings), online mode (the closed-form range
+probe) on a short stream and on a long one, the passive baseline in each
+mode (no range probe, every label queried) and the command line on a text
+dataset with a label tree. A change that is meant to move these bytes
+updates the pins and records the AUC before and after in CHANGES.md.
 """
 
 import hashlib
@@ -37,6 +37,10 @@ PINS = {
     "online": (
         "93d470203ce2730917f2a2f1fde953a57ba529ff9f46a5eb51f40c15e7a1f6df",
         "460e1e3367c0cb3ceb58c4fa5223b0db6fb89ef4a907fcc50af2bde412dd6a14",
+    ),
+    "online-long": (
+        "78c185b65a6910f4f136dca853a3d4bf5d6cd54e534dce103b6c769f9f2647e9",
+        "518b7658b31996d82925a7e130b413f778ed062aa0a6a8bc5d3dd3211fef8d26",
     ),
     "exact-passive": (
         "bbb35e59d29221d8cc0f4e3bccc2f389b4e7bf408d2fbfe3dbaee8599fed4563",
@@ -110,6 +114,14 @@ def test_exact_mode_long_run_bytes(tmp_path):
 def test_online_mode_bytes(tmp_path):
     got = run_synthetic(ONLINE_SPEC, "online", tmp_path)
     assert got == PINS["online"]
+
+
+def test_online_mode_long_run_bytes(tmp_path):
+    # the streams of perfbench's online-coal workload at its seed 1
+    got = run_synthetic(
+        "massart:k=5,dim=8,tau=0.3,n=4096", "online", tmp_path, synthetic_seed_base=1_001_000
+    )
+    assert got == PINS["online-long"]
 
 
 def test_exact_passive_bytes(tmp_path):

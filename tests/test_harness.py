@@ -638,8 +638,7 @@ def test_cli_rejects_a_norm_bound_whose_square_overflows():
         )
         for mode in ("online", "exact")
     ]
-    # online mode's break-even ratio still overflows at this mellowness
-    + [("exact", ("--mellowness", "1e300"))],
+    + [(mode, ("--mellowness", "1e300")) for mode in ("exact", "online")],
 )
 def test_cli_runs_extreme_settings_without_a_runtime_warning(mode, setting):
     # in exact mode each used to exit 0 with overflow warnings from the

@@ -9,6 +9,7 @@ from coal.cost_range import RadiusSchedule
 from coal.data import sparse_vector
 from coal.driver import LearnerState
 from coal.online import (
+    ACCUM_FLOOR,
     OnlineRegressor,
     _gap_fraction,
     batch_cost_ranges,
@@ -295,3 +296,84 @@ def test_batch_broadcasts_scalar_delta():
     one_lo, one_hi = one_range(g0, X1, 0.01)
     assert lo[0] == pytest.approx(one_lo, abs=2e-6)
     assert hi[0] == pytest.approx(one_hi, abs=2e-6)
+
+
+def per_side_ranges(weight_rows, accum_rows, base_rate, x, deltas):
+    """batch_cost_ranges as one pass per side, each gathering its live labels."""
+
+    def gap_moves(gap, s, deltas):
+        live = (gap > 0) & (s > 0)
+        u = np.zeros(gap.shape)
+        u[live] = _gap_fraction(deltas[live] * s[live] / gap[live] ** 3)
+        return u * gap
+
+    idx, val = x.indices, x.values
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=np.float64), weight_rows.shape[:1])
+    raw = weight_rows[:, idx] @ val
+    p = np.clip(raw, 0.0, 1.0)
+    acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)
+    scale = (val * val / np.sqrt(acc)).sum(axis=1)
+    s_lo = 2.0 * base_rate * np.abs(raw) * scale
+    s_hi = 2.0 * base_rate * np.abs(raw - 1.0) * scale
+    lo = p - gap_moves(p, s_lo, deltas)
+    hi = p + gap_moves(1.0 - p, s_hi, deltas)
+    return np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+
+
+def kernel_cases(rng, k=6, dim=5):
+    """Random (weights, accumulators, rate, point, deltas) reaching every kernel case.
+
+    Every point carries feature 0 = 1.0. Label 0 is fresh (raw exactly 0, zero
+    accumulators, so no sensitivity toward 0), label 1 predicts exactly 1 on
+    feature 0, and the others' raw values spread past both clip ends. One case
+    in four is round 1 of the mellow schedule: zero accumulators and delta = inf.
+    """
+    for trial in range(400):
+        weights = rng.uniform(-0.8, 1.8, (k, dim))
+        accums = rng.uniform(0.0, 2.0, (k, dim)) * (rng.uniform(size=(k, dim)) < 0.7)
+        weights[:2] = 0.0
+        weights[1, 0] = 1.0
+        accums[0] = 0.0
+        size = int(rng.integers(0, dim))
+        idx = [0] + sorted(int(i) for i in rng.choice(np.arange(1, dim), size, replace=False))
+        vals = [1.0] + list(rng.uniform(0.2, 1.0, size) * rng.choice([-1.0, 1.0], size))
+        x = sparse_vector(list(zip(idx, vals)))
+        rate = float(rng.uniform(0.1, 1.0))
+        kind = trial % 4
+        if kind == 0:
+            accums[:] = 0.0
+            deltas = math.inf
+        elif kind == 1:
+            deltas = float(10.0 ** rng.uniform(-6, 3))
+        else:
+            deltas = 10.0 ** rng.uniform(-6, 3, k)
+        yield weights, accums, rate, x, deltas
+
+
+def test_fused_kernel_is_bit_equal_to_the_per_side_passes():
+    rng = np.random.default_rng(16)
+    seen = {"clip 0": 0, "clip 1": 0, "raw 0": 0, "raw 1": 0, "inside": 0, "saturated": 0}
+    for weights, accums, rate, x, deltas in kernel_cases(rng):
+        got = batch_cost_ranges(weights, accums, rate, x, deltas)
+        want = per_side_ranges(weights, accums, rate, x, deltas)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        raw = weights[:, x.indices] @ x.values
+        seen["clip 0"] += int(np.sum(raw < 0.0))
+        seen["clip 1"] += int(np.sum(raw > 1.0))
+        seen["raw 0"] += int(np.sum(raw == 0.0))
+        seen["raw 1"] += int(np.sum(raw == 1.0))
+        seen["inside"] += int(np.sum((got[0] > 0.0) & (got[1] < 1.0)))
+        seen["saturated"] += int(np.sum((got[0] == 0.0) & (got[1] == 1.0)))
+    assert min(seen.values()) > 0, seen
+
+
+def test_fused_kernel_past_the_float_range_saturates_without_a_warning():
+    # delta * s overflows to inf here; the per-side passes need the warning
+    # silenced, the kernel silences it only past CALM_RADIUS
+    rng = np.random.default_rng(17)
+    for weights, accums, rate, x, deltas in kernel_cases(rng):
+        deltas = 1e300 * np.asarray(deltas) if np.ndim(deltas) else 1e300
+        got = batch_cost_ranges(weights, accums, rate, x, deltas)
+        with np.errstate(over="ignore", divide="ignore"):
+            want = per_side_ranges(weights, accums, rate, x, deltas)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
