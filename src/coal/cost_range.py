@@ -9,22 +9,25 @@ t = 1 (t = 0 for the smallest): each guess asks whether
     exists g, ||g|| <= bound:  (g(x) - t)^2 <= c  and
                                risk_j(g) <= budget_j  for every ledger round j
 
-The bisection starts from the closed-form bracket of RangeProblem.bracket: a
-sound lower end from the ellipsoid each ledger row confines the weights to,
-and an upper end from an exactly feasible witness; RangeProblem takes views
-of the label's prefix cache and computes the target-free parts once. Only
-the guesses inside what the bracket leaves open play a
-multiplicative-weights game between the constraints and a minimum-norm
-least-squares oracle. Each of the m + 1 constraints is quadratic in g, so
+Each search starts from a closed-form bracket: a sound lower end from the
+ellipsoid each ledger row confines the weights to, and an upper end from an
+exactly feasible witness. The round kernel (Brackets) computes both
+searches' brackets for every label at once, each quantity one numpy
+operation over the lanes of the learner's PrefixBlock (coal.oracle), and
+cost_intervals settles every search the bracket closes. Only a search left
+open builds its label's RangeProblem, from the label's lane of the kernel,
+whose guesses inside the bracket play a multiplicative-weights game between
+the constraints and a minimum-norm least-squares oracle (_bisect_cost); one
+formula (_estimates) turns every search's final bracket into its end and
+tol. Each of the m + 1 constraints is quadratic in g, so
 RangeProblem holds it as the augmented row [[G, h], [h', s]] of coal.oracle,
 whose quadratic form at [g; -1] is its value. A game iteration is two
 products with that stack: the mu-weighted row sum gives the H and b of one
 oracle.solve_bounded_least_squares call, and the product with
-[g; -1][g; -1]' gives every constraint value. separation_oracle is the
-oracle step's full-ledger form, which weighs every ledger entry. An
-infeasibility verdict exhibits a nonnegative combination of constraints that
-no regressor can satisfy, so it is sound no matter how few iterations ran; a
-feasible verdict comes with the averaged iterate and its measured constraint
+[g; -1][g; -1]' gives every constraint value. An infeasibility verdict
+exhibits a nonnegative combination of constraints that no regressor can
+satisfy, so it is sound no matter how few iterations ran; a feasible
+verdict comes with the averaged iterate and its measured constraint
 violations.
 
 The returned estimates carry a realized tolerance
@@ -55,6 +58,8 @@ MW_CONSTANT = 12.0  # numerator of the iteration budget, see mw_iterations
 CHECK_EVERY = 8  # game iterations between early-stop checks
 CERTIFICATE_SLACK = 1e-9  # least weighted overshoot that certifies infeasibility
 STEP_MARGIN = 1e-9  # relative shortening of the bracket's witness step, for rounding
+ROOT_MAX = 1e154  # a saturated budget's square root stays below it, so its square is finite
+_TARGETS = np.array([[0.0], [1.0]])  # the target of each row of the kernel's (2, K) arrays
 
 
 @dataclass(frozen=True)
@@ -216,87 +221,149 @@ class MwInfeasible:
     feasible = False
 
 
+class Brackets:
+    """The round kernel: both searches' closed-form brackets for consecutive
+    lanes of one PrefixBlock (coal.oracle), each quantity one numpy operation
+    over rows 1..max m_k of all lanes, with the rows past a lane's m_k masked
+    out. Row 0 of the (2, L) c_lo, c_hi, side and witness is the search
+    against t = 0, row 1 against t = 1; column k is block lane first_lane + k.
+
+    c_lo is sound. Since q_j(w) = q_eps(w) - RIDGE |w|^2, ledger row j
+    confines w to (w - fit_j)' G_eps (w - fit_j) <= rho_j, so the prediction
+    at x lies within sqrt(rho_j x'G_eps^-1 x) of fit_j . x; c_lo is the
+    squared distance from t to the intersection of these ranges and the
+    ball's +-bound |x| (outer). c_hi comes from an exactly feasible
+    regressor: the anchor (the label's ERM fit on its largest prefix) moved
+    toward t along up, the last prefix's G_eps^-1 x. Every budget row and
+    |w|^2 is a quadratic c alpha^2 + 2 b alpha + a in the step, so the
+    largest step within every budget is a minimum of roots; it stops where
+    the prediction reaches t, less STEP_MARGIN for rounding. Where the anchor
+    itself breaks a budget (broken) there is no witness, and c_hi is 1. The
+    block carries each lane's anchor-only parts, a and G_j anchor - h_j. A
+    budget that is infinite, or whose product with its round leaves the
+    float range, saturates at the largest risk a regressor in the ball
+    reaches on its prefix, (bound sqrt(trace G) + sqrt(s))^2: its row stays
+    slack.
+    """
+
+    def __init__(self, x, labels, bound):
+        block, L, d = labels[0].block, len(labels), x.size
+        self.first_lane = labels[0].lane
+        lanes = slice(self.first_lane, self.first_lane + L)
+        counts = [label.n_prefixes for label in labels]
+        anchors = [label.anchor(bound) for label in labels]
+        block.fill()
+        block.carry(lanes, anchors)
+        self.m = m = np.array(counts)
+        count = max(counts)
+        self.anchors = anchors = np.array(anchors)
+        stack, inverses, fits, parts, risks, gradients = block.rows(lanes, count)
+        residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts
+        live = np.arange(1, count + 1) <= m[:, None]
+        single = [k for k, c in enumerate(counts) if c == 1] if count > 1 else []
+        # one product per lane; within a lane the rows are contiguous, so no copy
+        self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
+        leverages = np.maximum(_row_dots(self.directions, x, single), 0.0)
+        self.leverage = np.minimum.reduce(denoms * leverages, 1, where=live, initial=np.inf)
+        self.saturated = budgets == np.inf
+        reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
+        self.budgets = budgets = np.where(self.saturated, np.square(reaches), budgets)
+        rho = np.maximum(budgets + RIDGE * (bound + fit_norms) ** 2 - residuals, 0.0)
+        # square roots taken factor by factor, and hypot below, keep every
+        # product within the float range
+        centres, half = _row_dots(fits, x, single), np.sqrt(rho) * np.sqrt(leverages)
+        reach = bound * math.sqrt(float(x @ x))
+        lo = np.maximum.reduce(centres - half, 1, where=live, initial=-reach)
+        hi = np.minimum.reduce(centres + half, 1, where=live, initial=reach)
+        self.outer = lo, hi
+        self.c_lo = np.minimum(np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), 0.0) ** 2, 1.0)
+        self.start = start = _dots(anchors, x)
+        up = self.directions[np.arange(L), m - 1] if count else np.tile(x, (L, 1))
+        if 0 in counts:
+            up[m == 0] = x
+        dv = np.concatenate((up, np.zeros((L, 1))), axis=1)
+        # each quadratic's rows, and the ball's |w|^2 as the last column
+        a, b, room, c = np.empty((4, L, count + 1))
+        a[:, :count], room[:, :count] = risks, budgets
+        b[:, :count] = (gradients @ up[:, :, None])[..., 0]
+        c[:, :count] = (stack @ (dv[:, :, None] * dv[:, None, :]).reshape(L, -1, 1))[..., 0]
+        a[:, count], b[:, count] = _dots(anchors, anchors), _dots(anchors, up)
+        c[:, count], room[:, count] = _dots(up, up), bound**2
+        room -= a
+        np.maximum(c, 0.0, out=c)
+        live = np.concatenate((live, np.ones((L, 1), dtype=bool)), axis=1)
+        self.broken = np.logical_or.reduce(room < 0.0, 1, where=live)
+        disc = np.hypot(b, np.sqrt(c) * np.sqrt(np.abs(room)))
+        sign = np.copysign(1.0, _TARGETS - start)
+        b = sign[..., None] * b
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the larger root of c alpha^2 + 2 b alpha = room, in its
+            # cancellation-free form; one past the float range is no limit
+            roots = np.where(b < 0.0, (disc - b) / c, room / (b + disc))
+            limit = np.abs(_TARGETS - start) / np.abs(_dots(up, x))
+        first = np.minimum.reduce(roots, 2, where=live, initial=np.inf)
+        alpha = np.where(limit < first, limit, first)
+        # nan: a row at its budget with no slope; inf: x = 0, no step moves
+        # the prediction. Either way the witness is the anchor.
+        alpha = np.where(np.isfinite(alpha), alpha, 0.0)
+        self.witness = anchors + (alpha * (1.0 - STEP_MARGIN))[..., None] * (sign[..., None] * up)
+        reached = (self.witness[..., None, :] @ x)[..., 0]
+        c_hi = np.minimum(np.maximum((reached - _TARGETS) ** 2, self.c_lo), 1.0)
+        self.c_hi = np.where(self.broken, 1.0, c_hi)
+        self.side = np.where(self.broken, start, reached)
+
+
+def _dots(u, v):
+    """Each row pair's product through dot, as a lone pair's: the anchor's
+    decide the ball's room and the side of the start."""
+    return (u[:, None, :] @ v[..., None])[:, 0, 0]
+
+
+def _row_dots(rows, x, single):
+    """rows @ x; a lane that holds one prefix (in single) takes the one-row
+    product, a dot, which rounds unlike the matrix-vector kernel."""
+    dots = rows @ x
+    for k in single:
+        dots[k, 0] = rows[k, 0] @ x
+    return dots
+
+
 class RangeProblem:
     """One (point, label-state) feasibility instance, reusable across guesses.
 
     Holds the game's m + 1 quadratic constraints as one stack of augmented
     rows (coal.oracle): row j flattens a (d+1)x(d+1) matrix A whose value at
-    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack and
-    the per-prefix arrays view LabelState.prefix_cache: rows 1..m are the
-    deduplicated ledger prefixes' rows, row 0 the cache's scratch row, which
-    each run writes for its t. directions holds each prefix's G_eps^-1 x, one
-    product with the cached inverses, and fits its ridge fit G_eps^-1 h, with
-    G_eps = G + RIDGE I; anchor is the label's memoised ERM fit on the
-    largest prefix. The bracket's parts that do not depend on t are built here.
+    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack views
+    the label's lane of its PrefixBlock: rows 1..m are the deduplicated
+    ledger prefixes' rows, row 0 the lane's scratch row, which each run
+    writes for its t. Its bracket and target-free parts are the label's lane
+    of a round kernel: lanes, the round's Brackets, when given, or else a
+    one-lane Brackets of its own.
     """
 
-    def __init__(self, x, state, bound):
+    def __init__(self, x, state, bound, lanes=None):
         self.x = x = x.to_dense(state.dim)
         self.bound = float(bound)
-        self.stack, inverses, self.fits, residuals, fit_norms, table = state.prefix_cache()
+        self.stack, *_, table = state.prefix_cache()
         self.m = m = len(table)
-        self.budgets = table[:, 2]
-        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
+        lanes = Brackets(x, [state], self.bound) if lanes is None else lanes
+        k = state.lane - lanes.first_lane
+        self.anchor, self.start = lanes.anchors[k], float(lanes.start[k])
+        self.directions, self.leverage = lanes.directions[k, :m], float(lanes.leverage[k])
+        self.outer = float(lanes.outer[0][k]), float(lanes.outer[1][k])
         self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
-        self.directions = inverses @ x
-        leverages = np.maximum(self.directions @ x, 0.0)
-        self.leverage = float(np.min(self.denoms[1:] * leverages, initial=np.inf))
-        self.anchor = state.erm_weights(int(table[-1, 0]), self.bound) if m else np.zeros(x.size)
-        # The outer range, and the witness path: the anchor plus alpha times
-        # the step up, the last prefix's G_eps^-1 x. Along it each budget row
-        # and the ball's |w|^2 is c alpha^2 + 2 b alpha + a; toward a smaller
-        # target only b's sign changes. Square roots taken factor by factor,
-        # and hypot, keep every product within the float range.
-        budgets = self.budgets * self.denoms[1:]
-        rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
-        centres, half = self.fits @ x, np.sqrt(rho) * np.sqrt(leverages)
-        reach = self.bound * math.sqrt(float(x @ x))
-        lo, hi = np.max(centres - half, initial=-reach), np.min(centres + half, initial=reach)
-        self.outer, self.start = (float(lo), float(hi)), float(self.anchor @ x)
-        self.up = self.directions[-1] if m else x
-        v, dv = np.append(self.anchor, -1.0), np.append(self.up, 0.0)
-        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
-        ball = [self.anchor @ self.anchor, self.anchor @ self.up, self.up @ self.up]
-        a, self.slopes, c = np.vstack((self.stack[1:] @ forms.reshape(3, -1).T, ball)).T
-        self.room = np.append(budgets, self.bound**2) - a
-        self.broken = bool(np.any(self.room < 0.0))  # the anchor itself breaks a budget
-        self.curvatures = np.maximum(c, 0.0)
-        self.disc = np.hypot(self.slopes, np.sqrt(self.curvatures) * np.sqrt(np.abs(self.room)))
+        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
+        saturated, budgets = lanes.saturated[k, :m], lanes.budgets[k, :m]
+        self.budgets = np.where(saturated, budgets / self.denoms[1:], table[:, 2])
+        c_lo, c_hi = lanes.c_lo[:, k].tolist(), lanes.c_hi[:, k].tolist()
+        witnesses = [None if lanes.broken[k] else lanes.witness[t, k] for t in (0, 1)]
+        self._ends = list(zip(c_lo, c_hi, witnesses))
 
     def bracket(self, t):
-        """Closed-form (c_lo, c_hi, witness) for the search against target t.
-
-        c_lo is sound. Since q_j(w) = q_eps(w) - RIDGE |w|^2, ledger row j
-        confines w to (w - fit_j)' G_eps (w - fit_j) <= rho_j, so the
-        prediction at x lies within sqrt(rho_j x'G_eps^-1 x) of fit_j . x;
-        c_lo is the squared distance from t to the intersection of these
-        ranges and the ball's +-bound |x| (outer). c_hi comes from an exactly
-        feasible regressor: the anchor fit moved along the last prefix's
-        G_eps^-1 x toward t. Every row's value and |w|^2 are quadratics in the
-        step, so the largest step within every budget is a minimum of roots;
-        it stops where the prediction reaches t, less STEP_MARGIN for
-        rounding. witness is its weights, or None (and c_hi is 1) when the
-        anchor itself breaks a budget.
-        """
-        lo, hi = self.outer
-        c_lo = min(max(lo - t, t - hi, 0.0) ** 2, 1.0)
-        if self.broken:
-            return c_lo, 1.0, None
-        x, start = self.x, self.start
-        sign = math.copysign(1.0, t - start)
-        step, b = sign * self.up, sign * self.slopes
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the larger root of c alpha^2 + 2 b alpha = room, in its
-            # cancellation-free form; one past the float range is no limit
-            disc, c = self.disc, self.curvatures
-            roots = np.where(b < 0.0, (disc - b) / c, self.room / (b + disc))
-            alpha = min(float(roots.min()), abs((t - start) / (x @ step)))
-        # nan: a row at its budget with no slope; inf: x = 0, no step moves
-        # the prediction. Either way the witness is the anchor.
-        if not math.isfinite(alpha):
-            alpha = 0.0
-        witness = self.anchor + alpha * (1.0 - STEP_MARGIN) * step
-        return c_lo, min(max((witness @ x - t) ** 2, c_lo), 1.0), witness
+        """Closed-form (c_lo, c_hi, witness) for the search against target t, 0
+        or 1, as Brackets defines them; witness is None when c_hi is 1 for lack
+        of one."""
+        return self._ends[t]
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
@@ -343,33 +410,6 @@ class RangeProblem:
         )
 
 
-def separation_oracle(mu, t, x, state, bound=DEFAULT_NORM_BOUND):
-    """Best response to constraint weights mu over the full ledger.
-
-    mu[0] weighs the target constraint at x; mu[1 + j] weighs the ledger
-    entry j. This is the full-ledger form of the oracle step of
-    RangeProblem.run: one weighted least-squares fit whose normal equations
-    add mu[0] (x, t) to mu[1 + j] / (round_j - 1) times the prefix sums of
-    entry j, so a queried point carries the accumulated weight of every
-    ledger constraint whose prefix contains it.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.size != 1 + len(state.ledger):
-        raise ValueError("need one weight for the target plus one per ledger entry")
-    if not np.all(np.isfinite(mu) & (mu >= 0)):
-        raise ValueError("constraint weights must be finite and nonnegative")
-    xd = x.to_dense(state.dim)
-    gram = mu[0] * np.outer(xd, xd)
-    moment = mu[0] * t * xd
-    for weight, entry in zip(mu[1:], state.ledger):
-        count = state.n_points_before(entry.round)
-        if count:
-            g, h, _ = state.prefix_sums(count)
-            gram = gram + weight / (entry.round - 1) * g
-            moment = moment + weight / (entry.round - 1) * h
-    return LinearRegressor(solve_bounded_least_squares(gram, moment, bound), bound)
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     """One end of an achievable-cost interval with its realized error bound."""
@@ -382,9 +422,11 @@ class CostEstimate:
     guesses: int
 
 
-def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
-    t_budget = mw_iterations(round_i, delta_i, tol, settings)
-    cfg = mw_config_for(problem.m + 1, t_budget, rho)
+def _bisect_cost(target, problem, tol, cfg, settings):
+    """Bisect the search against target from the problem's bracket, one game
+    per guess, until the bracket is at most tol^2 / 2 wide. Returns the final
+    (c_lo, c_hi), the side (the last feasible regressor's prediction, or
+    the anchor's when none was feasible) and the number of guesses."""
     c_lo, c_hi, witness = problem.bracket(target)
     guesses = 0
     while c_hi - c_lo > tol * tol / 2.0:
@@ -396,28 +438,34 @@ def _bisect_cost(target, problem, tol, round_i, delta_i, rho, settings):
             witness = outcome.regressor.weights
         else:
             c_lo = c_mid
-    slack = mw_slack(problem.m + 1, cfg)
-    geom = 0.0
-    if slack > 0.0:  # with no ledger the leverage is unbounded, and unused
-        ball_reach = 2.0 * problem.bound * math.sqrt(float(problem.x @ problem.x))
-        geom = min(math.sqrt(slack * problem.leverage), ball_reach)
-    # the guess measures |prediction - target|, which cannot tell a space just
-    # short of the target from one just past it; the witness prediction (or
-    # the anchor fit when nothing was feasible) pins the side, and a space
-    # past the target saturates the clamped cost at that end
     side = problem.start if witness is None else float(witness @ problem.x)
-    if target == 1:
-        raw = 1.0 if side > 1.0 else 1.0 - math.sqrt(c_lo)
-    else:
-        raw = 0.0 if side < 0.0 else math.sqrt(c_lo)
-    return CostEstimate(
-        value=min(1.0, max(0.0, raw)),
-        tol=math.sqrt((c_hi - c_lo) + slack) + geom,
-        bracket_lo=c_lo,
-        bracket_hi=c_hi,
-        mw_slack=slack,
-        guesses=guesses,
-    )
+    return c_lo, c_hi, side, guesses
+
+
+def _estimates(t, c_lo, c_hi, side, slack, leverage, x, bound):
+    """The (value, tol) of searches against targets t (0 or 1) that ended at
+    [c_lo, c_hi] with the witness's prediction at side, their games' slack
+    being slack: the module docstring's tol, whose second term is 0 with no
+    ledger (slack 0, where the leverage is unbounded and unused). The guess
+    measures |prediction - t|, which cannot tell a space just short of the
+    target from one just past it; side pins it, and a space past the target
+    saturates the clamped cost at t. Broadcasts, so it serves one search or
+    a round's (2, K) of them alike."""
+    with np.errstate(over="ignore"):  # a product past the float range is inf, capped below
+        geom = np.multiply(slack, leverage, out=np.zeros(np.shape(c_lo)), where=slack > 0.0)
+    geom = np.minimum(np.sqrt(geom), 2.0 * bound * math.sqrt(float(x @ x)))
+    near = t + (1 - 2 * t) * np.sqrt(c_lo)  # sqrt(c_lo) from t = 0, 1 - sqrt(c_lo) from t = 1
+    value = np.where(side * (2 * t - 1) > t, t, near)  # side < 0, or side > 1
+    return np.minimum(np.maximum(value, 0.0), 1.0), np.sqrt((c_hi - c_lo) + slack) + geom
+
+
+def _search(target, x, state, tol, round_i, delta_i, rho, bound, settings):
+    problem = RangeProblem(x, state, bound)
+    cfg = mw_config_for(problem.m + 1, mw_iterations(round_i, delta_i, tol, settings), rho)
+    c_lo, c_hi, side, guesses = _bisect_cost(target, problem, tol, cfg, settings)
+    slack = mw_slack(problem.m + 1, cfg)
+    value, est = _estimates(target, c_lo, c_hi, side, slack, problem.leverage, problem.x, bound)
+    return CostEstimate(float(value), float(est), c_lo, c_hi, slack, guesses)
 
 
 def max_cost(
@@ -436,8 +484,7 @@ def max_cost(
     achievable clamped cost by more than the reported tol, and infeasibility
     certificates guarantee it never exceeds 1 - sqrt of the true optimum.
     """
-    problem = RangeProblem(x, state, bound)
-    return _bisect_cost(1, problem, tol, round_i, delta_i, rho, settings)
+    return _search(1, x, state, tol, round_i, delta_i, rho, bound, settings)
 
 
 def min_cost(
@@ -451,8 +498,7 @@ def min_cost(
     settings=DEFAULT_SETTINGS,
 ):
     """Smallest cost any ledger-consistent regressor assigns to x."""
-    problem = RangeProblem(x, state, bound)
-    return _bisect_cost(0, problem, tol, round_i, delta_i, rho, settings)
+    return _search(0, x, state, tol, round_i, delta_i, rho, bound, settings)
 
 
 def cost_interval(
@@ -466,7 +512,37 @@ def cost_interval(
     settings=DEFAULT_SETTINGS,
 ):
     """Achievable-cost interval for one label at x: [min_cost, max_cost]."""
-    problem = RangeProblem(x, state, bound)
-    lo = _bisect_cost(0, problem, tol, round_i, delta_i, rho, settings)
-    hi = _bisect_cost(1, problem, tol, round_i, delta_i, rho, settings)
-    return CostInterval(lo=lo.value, hi=hi.value, tol=max(lo.tol, hi.tol))
+    lo, hi, tol = cost_intervals(x, [state], tol, round_i, delta_i, rho, bound, settings)
+    return CostInterval(lo=float(lo[0]), hi=float(hi[0]), tol=float(tol[0]))
+
+
+def cost_intervals(x, labels, tol, round_i, delta_i, rho, bound, settings):
+    """Every label's achievable-cost interval at x, as (lo, hi, tol) arrays.
+
+    labels are consecutive lanes of one PrefixBlock. The round kernel
+    (Brackets) brackets every search; only a search its bracket leaves open
+    builds its label's RangeProblem and bisects with games (_bisect_cost).
+    _estimates turns every search's final bracket into its end and tol. The
+    intervals pass CostInterval's checks, or raise its ValueError.
+    """
+    dense = x.to_dense(labels[0].dim)
+    lanes = Brackets(dense, labels, bound)
+    t_budget = mw_iterations(round_i, delta_i, tol, settings)
+    counts = lanes.m.tolist()
+    cfgs = [mw_config_for(m + 1, t_budget, rho) for m in counts]
+    slack = np.array([mw_slack(m + 1, cfg) for m, cfg in zip(counts, cfgs)])
+    c_lo, c_hi, side = lanes.c_lo.copy(), lanes.c_hi.copy(), lanes.side.copy()
+    problems = {}
+    for target, k in zip(*np.nonzero(c_hi - c_lo > tol * tol / 2.0)):
+        if k not in problems:
+            problems[k] = RangeProblem(x, labels[k], bound, lanes)
+        search = _bisect_cost(int(target), problems[k], tol, cfgs[k], settings)
+        c_lo[target, k], c_hi[target, k], side[target, k] = search[:3]
+    ends, tols = _estimates(_TARGETS, c_lo, c_hi, side, slack, lanes.leverage, dense, bound)
+    lo, hi, tol = ends[0], ends[1], np.maximum(tols[0], tols[1])
+    # the ends are clamped to [0, 1] and the tols nonnegative, or NaN, which fails here too
+    valid = lo <= hi + 2.0 * tol + 1e-9
+    if not valid.all():
+        for k in np.flatnonzero(~valid):  # raises CostInterval's ValueError
+            CostInterval(lo=float(lo[k]), hi=float(hi[k]), tol=float(tol[k]))
+    return lo, hi, tol

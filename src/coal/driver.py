@@ -23,11 +23,11 @@ from .cost_range import (
     DEFAULT_NORM_BOUND,
     DEFAULT_SETTINGS,
     CostInterval,
-    cost_interval,
+    cost_intervals,
     radius,
 )
 from .data import QueryLog
-from .oracle import LabelState, LinearRegressor
+from .oracle import LabelState, LinearRegressor, PrefixBlock, refit
 from .online import OnlineRegressor, batch_cost_ranges, online_update
 
 POLICIES = ("coal", "passive", "allornone", "nodom")
@@ -77,9 +77,12 @@ class LearnerState:
     its rows of both tables (built once; none in exact mode), the query log,
     and the round counter (1-based: round = processed examples + 1). The
     LabelStates keep history and ledger only under track_exact_ledger (exact
-    mode's default), so an online run keeps O(K * dim) state. Each round reads
-    policy afresh, so run_seed plays its warm-up rounds by switching it to
-    passive.
+    mode's default), so an online run keeps O(K * dim) state; their
+    per-prefix caches are the lanes of one PrefixBlock, which allocates
+    nothing before a cost range reads a prefix, so that one kernel
+    (cost_intervals) brackets every label's searches per round. Each round
+    reads policy afresh, so run_seed plays its warm-up rounds by switching it
+    to passive.
     """
 
     def __init__(
@@ -111,7 +114,8 @@ class LearnerState:
             (mode == "exact") if track_exact_ledger is None else track_exact_ledger
         )
         self.round = 1
-        self.labels = [LabelState(y, dim) for y in range(1, k + 1)]
+        block = PrefixBlock(dim)
+        self.labels = [LabelState(y, dim, block) for y in range(1, k + 1)]
         self.weights = np.zeros((k, dim))
         self.accumulators = np.zeros((k, dim)) if mode == "online" else None
         rows = zip(self.weights, self.accumulators) if mode == "online" else ()
@@ -159,15 +163,10 @@ def process_example(state, x):
         )
         tols = np.zeros(state.k)
     else:
-        delta_i = radius(i, state.schedule)
-        intervals = [
-            cost_interval(
-                x, label_state, threshold / 4.0, i, delta_i,
-                rho=state.schedule.kappa, bound=state.norm_bound, settings=state.settings,
-            )  # fmt: skip
-            for label_state in state.labels
-        ]
-        los, his, tols = np.array([(iv.lo, iv.hi, iv.tol) for iv in intervals]).T
+        los, his, tols = cost_intervals(
+            x, state.labels, threshold / 4.0, i, radius(i, state.schedule),
+            state.schedule.kappa, state.norm_bound, state.settings,
+        )  # fmt: skip
     nondominated, to_query = _decide(state.policy, los, his, threshold)
     return QueryDecision(
         round=i,
@@ -212,6 +211,7 @@ def observe_costs(state, x, decision, costs):
 
     if state.track_exact_ledger:
         delta_next = radius(i + 1, state.schedule)
+        refit(state.labels, i + 1, state.norm_bound)
         for idx, label_state in enumerate(state.labels):
             weights = LinearRegressor(
                 label_state.erm_weights(i + 1, state.norm_bound), state.norm_bound

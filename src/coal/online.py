@@ -120,12 +120,16 @@ def _gap_moves(gap, s, deltas):
     the break-even weight solves u^2 (2 - u) = delta s / gap^3, and the move
     is u * gap. gap and s are (2, K) (one row per side), deltas a scalar or
     (K,); r is 0 off the live entries, where round 1 of the mellow schedule
-    pairs delta = inf with s = 0.
+    pairs delta = inf with s = 0. Where delta s reaches gap^3 the move spans
+    the gap (r >= 1), so only the rest is divided: a gap within about 1e-103
+    of a side, whose cube underflows, is never a divisor.
     """
     live = (gap > 0) & (s > 0)
     r = np.multiply(deltas, s, out=np.zeros(gap.shape), where=live)
-    np.divide(r, gap**3, out=r, where=live)
-    return _gap_fraction(r) * gap
+    cube = gap**3
+    spans = r >= cube
+    np.divide(r, cube, out=r, where=~spans)
+    return _gap_fraction(np.maximum(r, spans, out=r)) * gap
 
 
 def _break_even(p_sq_gap, s, delta, cap):

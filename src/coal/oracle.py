@@ -5,28 +5,33 @@ ledger of per-round risk budgets. The history is held as augmented rows: for
 each prefix of the queried points, the (d+1)x(d+1) sum of u u' with
 u = [x; cost], whose blocks [[G, h], [h', s]] are the Gram, the moment and
 the squared costs, and whose quadratic form at [w; -1] is the squared loss
-of w. Only LabelState builds these rows; once per deduplicated ledger prefix
-it caches all that coal.cost_range reads of one (LabelState.prefix_cache),
-and it memoises its last ERM fit, which the refit and the next round's cost
-ranges share. Regressors are linear with an L2 norm bound; fitting solves
+of w. Only LabelState builds these rows. A learner's labels share one
+PrefixBlock, whose lane per label caches, once per deduplicated ledger
+prefix, all that coal.cost_range reads of it (LabelState.prefix_cache views
+the label's lane). Each label memoises its last ERM fit, which the refit and
+the next round's cost ranges share; refit fills the memos of a round's
+queried labels with one stacked solve. Regressors are linear with an L2 norm
+bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
 with one solver, solve_bounded_least_squares. One symmetric eigendecomposition
-per call gives the minimiser of least norm: inside the ball, or on its sphere,
-where Newton steps on 1/||w(mu)|| climb to the multiplier mu from a lower
-bound (Gander 1981; More and Sorensen 1983). Every least-squares fit in the
-package (the ERM refit, the games' oracle, the separation oracle) uses it.
+per system gives the minimiser of least norm: inside the ball, or on its
+sphere, where Newton steps on 1/||w(mu)|| climb to the multiplier mu from a
+lower bound (Gander 1981; More and Sorensen 1983). Every least-squares fit in
+the package (the ERM refit, the games' oracle) uses it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+FLOAT_MAX = sys.float_info.max
 RIDGE = 1e-12  # the prefix cache's solves use G + RIDGE I; the bounded solve needs none
 RANGE_RTOL = 1e-8  # a part of b on a null direction below this share of ||b|| is rounding
 NEWTON_RTOL = 1e-13  # the sphere's ||w|| is returned within this relative distance of the bound
@@ -71,11 +76,28 @@ def solve_bounded_least_squares(gram, moment, bound):
     Eigenvalues of G + G' at or below d eps lam_max, and b's parts on them below
     RANGE_RTOL ||b||, count as 0. The minimum-norm solution is the answer when b
     has no other part there and it lies in the ball. G and b are not written.
+    A stack of systems, (n, d, d) and (n, d), shares one eigh call.
     """
-    d = gram.shape[0]
+    d = gram.shape[-1]
     if d == 0 or bound == 0:
-        return np.zeros(d)
-    lam, q = np.linalg.eigh(gram + gram.T)
+        return np.zeros(np.shape(moment))
+    lams, qs = np.linalg.eigh(gram + gram.swapaxes(-1, -2))
+    if gram.ndim == 2:
+        return _min_norm(lams, qs, moment, bound)
+    # the stack's interior solutions at once, with _min_norm's products (each a
+    # dot or a matrix-vector product of one system); the rest one by one
+    betas = ((moment + moment)[:, None, :] @ qs)[:, 0]
+    w = np.divide(betas, lams, out=np.zeros(betas.shape), where=lams > 0.0)
+    inside = (lams[:, 0] > d * math.ulp(1.0) * lams[:, -1]) & (lams[:, 0] > 0.0)
+    inside &= (w[:, None, :] @ w[:, :, None])[:, 0, 0] <= bound * bound
+    fits = (qs @ w[:, :, None])[:, :, 0]
+    for i in np.flatnonzero(~inside):
+        fits[i] = _min_norm(lams[i], qs[i], moment[i], bound)
+    return fits
+
+
+def _min_norm(lam, q, moment, bound):
+    d = lam.size
     beta = np.dot(moment + moment, q)  # (G + G')w = 2b; np.dot is cheaper than @ at this size
     cut = d * math.ulp(1.0) * lam[-1]
     if lam[0] <= cut:  # eigh sorts ascending; keep a null direction only where b has a part
@@ -125,6 +147,99 @@ class LedgerEntry:
     delta_tilde: float
 
 
+class PrefixBlock:
+    """One learner's per-prefix caches: (K, capacity, ...) arrays, one lane per
+    label. Lane k holds label k's deduplicated ledger prefixes at rows
+    1..m_k, in ledger order; row 0 of its stack is the games' scratch row,
+    and later rows stay zero. fill() adds the prefixes that the ledgers
+    gained since the last fill, every lane's with one stacked solve: the
+    flattened augmented row, G_eps^-1 for G_eps = G + RIDGE I, the ridge fit
+    G_eps^-1 h, and the x-free parts s - h'fit, |fit|, round - 1,
+    budget * (round - 1) (inf past the float range), sqrt(trace G) and
+    sqrt(s). carry() keeps each lane's witness parts for its anchor: v'A_j v
+    and G_j anchor - h_j, with v = [anchor; -1]. Nothing is allocated before
+    the first prefix.
+    """
+
+    def __init__(self, dim):
+        d = self.dim = dim
+        self.labels, self.capacity = [], 0
+        self.filled, self.anchors = [], []  # per lane: prefixes filled, the carried parts' anchor
+        self.shapes = {
+            "stack": ((d + 1) ** 2,), "inverses": (d, d), "fits": (d,), "parts": (6,),
+            "risks": (), "gradients": (d,),
+        }  # fmt: skip
+
+    def rows(self, lanes, count):
+        """Views of rows 1..count of a slice of lanes, in shapes' order; parts'
+        last axis leads."""
+        if self.capacity:
+            views = [getattr(self, name)[lanes, 1 : count + 1] for name in self.shapes]
+        else:  # count is 0: empty views, none of them kept
+            size = len(range(len(self.labels))[lanes])
+            views = [np.zeros((size, 0, *shape)) for shape in self.shapes.values()]
+        views[3] = views[3].transpose(2, 0, 1)
+        return views
+
+    def fill(self):
+        need = max(label.n_prefixes for label in self.labels) + 1
+        if need == 1:
+            return
+        if need > self.capacity:  # allocate, or double
+            for name, shape in self.shapes.items():
+                grown = np.zeros((len(self.labels), 2 * need - 1, *shape))
+                grown[:, : self.capacity] = getattr(self, name) if self.capacity else 0.0
+                setattr(self, name, grown)
+            if not self.capacity:
+                self.filled, self.anchors = [0] * len(self.labels), [None] * len(self.labels)
+            self.capacity = 2 * need - 1
+        new = [
+            (k, j, label)
+            for k, label in enumerate(self.labels)
+            for j in range(self.filled[k] + 1, label.n_prefixes + 1)
+        ]
+        if not new:
+            return
+        n, d = len(new), self.dim
+        lanes, rows = [k for k, _, _ in new], [j for _, j, _ in new]
+        table = np.array([label._table[j - 1] for _, j, label in new])
+        aug = np.array([label.prefix_row(int(row[1])) for row, (*_, label) in zip(table, new)])
+        eye = np.eye(d)
+        rhs = np.empty((n, d, d + 1))
+        rhs[:, :, :d], rhs[:, :, d] = eye, aug[:, :d, d]
+        h = rhs[:, :, d]
+        # regularised, not a pseudo-inverse: a probe off the span of a
+        # prefix's points must read as unbounded leverage under that prefix
+        solved = np.linalg.solve(aug[:, :d, :d] + RIDGE * eye, rhs)  # [G_eps^-1 | fit]
+        self.stack[lanes, rows] = aug.reshape(n, -1)
+        self.inverses[lanes, rows] = solved[:, :, :d]
+        self.fits[lanes, rows] = solved[:, :, d]
+        fits = self.fits[lanes, rows]  # contiguous rows round their norms as one row does
+        denoms, budgets = table[:, 0] - 1.0, table[:, 2]
+        scaled = np.full(n, np.inf)
+        np.multiply(budgets, denoms, out=scaled, where=budgets <= FLOAT_MAX / 2.0 / denoms)
+        residuals = aug[:, d, d] - np.einsum("bi,bi->b", h, fits)
+        fit_norms = np.sqrt(np.einsum("bi,bi->b", fits, fits))
+        diagonal = aug.reshape(n, -1)[:, :: d + 2]  # G's diagonal and s
+        roots = np.sqrt(diagonal[:, :d].sum(axis=1)), np.sqrt(diagonal[:, d])
+        self.parts[lanes, rows] = np.array((residuals, fit_norms, denoms, scaled, *roots)).T
+        self.filled = [label.n_prefixes for label in self.labels]
+
+    def carry(self, lanes, anchors):
+        """Recompute the witness parts of the lanes (a slice) once one of their
+        anchors changed: all of them, in place, since a slice copies nothing."""
+        ks = range(len(self.labels))[lanes] if self.capacity else ()
+        if all(not self.filled[k] or self.anchors[k] is a for k, a in zip(ks, anchors)):
+            return
+        count, d, n = max(self.filled[k] for k in ks), self.dim, len(ks)
+        v = np.concatenate((anchors, -np.ones((n, 1))), axis=1)
+        rows = self.stack[lanes, 1 : count + 1].reshape(n, -1, d + 1)
+        products = (rows @ v[:, :, None]).reshape(n, count, d + 1)  # A_j v
+        self.gradients[lanes, 1 : count + 1] = products[..., :d]
+        self.risks[lanes, 1 : count + 1] = (products @ v[:, :, None])[..., 0]
+        self.anchors[lanes] = anchors
+
+
 class LabelState:
     """Query history and risk ledger for a single label.
 
@@ -133,10 +248,12 @@ class LabelState:
     weight vector on any prefix is a single quadratic form. The ledger holds
     one entry per completed round from round 2 on; rounds strictly increase.
     Only a tracked ledger appends points, and nothing of size dim^2 exists
-    before the first one: the empty prefix's row is built on demand.
+    before the first one: the empty prefix's row is built on demand. The
+    label's per-prefix caches are a lane of block, a PrefixBlock shared by
+    the learner's labels; a label built alone owns a block of one lane.
     """
 
-    def __init__(self, label, dim):
+    def __init__(self, label, dim, block=None):
         self.label = label
         self.dim = dim
         self.rounds = []
@@ -145,7 +262,9 @@ class LabelState:
         # (round, count, budget, radius) of the earliest ledger entry per
         # distinct point count, the binding one (later rounds only relax it)
         self._table, self.n_prefixes = np.zeros((0, 4)), 0
-        self._cache, self._cached = (), 0  # prefix_cache's arrays; prefixes filled
+        self.block = PrefixBlock(dim) if block is None else block
+        self.lane = len(self.block.labels)
+        self.block.labels.append(self)
         self._fit = (None,) * 4  # memo: (count, bound, weights, unnormalised risk)
 
     @property
@@ -158,7 +277,7 @@ class LabelState:
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
         u = np.append(x.to_dense(self.dim), cost)
-        self._rows.append(self.prefix_row(self.n_points) + np.outer(u, u))
+        self._rows.append(self.prefix_row(self.n_points) + u[:, None] * u)
         self.rounds.append(round_i)
 
     def n_points_before(self, round_j):
@@ -196,15 +315,24 @@ class LabelState:
 
         Memoised, read-only, for the last prefix and bound, together with the
         fit's unnormalised risk, which risk_of_weights of these weights reads.
+        refit fills the memo of many labels with one stacked solve.
         """
         count = self.n_points_before(round_j)
         if self._fit[:2] != (count, bound):
             g, h, _ = self.prefix_sums(count)
-            w = solve_bounded_least_squares(g, h, bound)
-            w.flags.writeable = False
-            v = np.append(w, -1.0)
-            self._fit = (count, bound, w, max(float(v @ self.prefix_row(count) @ v), 0.0))
+            self._remember(count, bound, solve_bounded_least_squares(g, h, bound))
         return self._fit[2]
+
+    def _remember(self, count, bound, weights):
+        """Memoise weights, read-only, as the fit on the first count points."""
+        weights.flags.writeable = False
+        v = np.append(weights, -1.0)
+        self._fit = (count, bound, weights, max(float(v @ self.prefix_row(count) @ v), 0.0))
+
+    def anchor(self, bound):
+        """The memoised ERM fit on the largest ledger prefix; zeros without one."""
+        m = self.n_prefixes
+        return self.erm_weights(int(self._table[m - 1, 0]), bound) if m else np.zeros(self.dim)
 
     def append_ledger(self, round_j, erm_risk, delta):
         if self.ledger and round_j <= self.ledger[-1].round:
@@ -223,38 +351,36 @@ class LabelState:
         return entry
 
     def prefix_cache(self):
-        """Per deduplicated prefix, in ledger order, views of: the flattened
-        augmented rows (stack, whose extra row 0 is scratch for the caller's
-        own), G_eps^-1 for G_eps = G + RIDGE I, the ridge fits G_eps^-1 h,
-        s - h'fit, |fit| and the (round, count, budget, radius) entries.
+        """Per deduplicated prefix, in ledger order, views of the label's lane
+        of block (PrefixBlock): the flattened augmented rows (stack, whose
+        extra row 0 is scratch for the caller's own), G_eps^-1 for
+        G_eps = G + RIDGE I, the ridge fits G_eps^-1 h, s - h'fit, |fit| and
+        the (round, count, budget, radius) entries.
 
-        Each prefix is filled in once, at the first read after the ledger
+        The block fills each prefix once, at the first read after the ledger
         added it, so a ledger that no cost range reads solves nothing.
         """
-        m, d = self.n_prefixes, self.dim
-        shapes = ((d + 1) ** 2,), (d, d), (d,), (), ()
-        if not m:  # a scratch row and empty views, none of them kept
-            return (*(np.zeros((int(i == 0), *s)) for i, s in enumerate(shapes)), self._table[:0])
-        if not self._cache or m >= len(self._cache[0]):  # allocate, or double
-            old = self._cache or [np.zeros((1, *shape)) for shape in shapes]
-            self._cache = [np.resize(a, (2 * m + 1, *a.shape[1:])) for a in old]
-        stack, inverses, fits, residuals, fit_norms = self._cache
-        for j in range(self._cached + 1, m + 1):
-            row = self._rows[int(self._table[j - 1, 1]) - 1]
-            h, rhs = row[:d, d], np.eye(d, d + 1)
-            # regularised, not a pseudo-inverse: a probe off the span of a
-            # prefix's points must read as unbounded leverage under that prefix
-            gram = row[:d, :d] + RIDGE * rhs[:, :d]
-            rhs[:, d] = h
-            solved = np.linalg.solve(gram, rhs)  # [G_eps^-1 | fit]
-            stack[j], inverses[j], fits[j] = row.ravel(), solved[:, :d], solved[:, d]
-            residuals[j] = row[d, d] - np.einsum("i,i->", h, fits[j])
-            fit_norms[j] = math.sqrt(np.einsum("i,i->", fits[j], fits[j]))
-        self._cached = m
-        return stack[: m + 1], *(a[1 : m + 1] for a in self._cache[1:]), self._table[:m]
+        m, b, k = self.n_prefixes, self.block, self.lane
+        b.fill()
+        _, inverses, fits, parts, *_ = b.rows(slice(k, k + 1), m)
+        stack = b.stack[k, : m + 1] if b.capacity else np.zeros((1, *b.shapes["stack"]))
+        return stack, inverses[0], fits[0], *parts[:2, 0], self._table[:m]
 
     def constraint_view(self):
         """Deduplicated ledger constraints as (rounds, counts, budgets, radii), copied."""
         table = self._table[: self.n_prefixes]
         rounds, counts = table[:, :2].T.astype(np.int64)
         return rounds, counts, table[:, 2].copy(), table[:, 3].copy()
+
+
+def refit(labels, round_j, bound):
+    """Fill the erm_weights memo of every label whose fit for round_j is stale,
+    with one stacked solve: after a round, those of the labels it queried."""
+    stale = [(label, label.n_points_before(round_j)) for label in labels]
+    stale = [(label, count) for label, count in stale if label._fit[:2] != (count, bound)]
+    if stale:
+        d = labels[0].dim
+        rows = np.array([label.prefix_row(count) for label, count in stale])
+        fits = solve_bounded_least_squares(rows[:, :d, :d], rows[:, :d, d], bound)
+        for (label, count), weights in zip(stale, fits):
+            label._remember(count, bound, weights)

@@ -13,7 +13,7 @@ TEST_REFERENCES = {
     "WeightedPoint",
     "fit_weighted",
     "brute_force_cost_range",
-    "separation_oracle",
+    "cost_interval",
     "max_cost",
     "min_cost",
     "sensitivity",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from coal.cost_range import (
     MwSettings,
     RadiusSchedule,
     RangeProblem,
+    _bisect_cost,
     cost_interval,
+    cost_intervals,
     eps_bound,
     max_cost,
     min_cost,
     mw_config_for,
     mw_iterations,
+    mw_slack,
     radius,
-    separation_oracle,
 )
 from coal.data import sparse_vector
 from coal.harness import ExperimentConfig, parse_synthetic_spec, run_experiment
@@ -29,6 +32,7 @@ from coal.oracle import (
     RIDGE,
     LabelState,
     LinearRegressor,
+    PrefixBlock,
     WeightedPoint,
     fit_weighted,
     solve_bounded_least_squares,
@@ -37,6 +41,33 @@ from coal.synthetic import brute_force_cost_range
 from test_acceptance import _ball_grid, _sandwich_instance
 
 X1 = sparse_vector([(0, 1.0)])
+
+
+def separation_oracle(mu, t, x, state, bound=10.0):
+    """Best response to constraint weights mu over the full ledger.
+
+    mu[0] weighs the target constraint at x; mu[1 + j] weighs the ledger
+    entry j. This is the full-ledger form of the oracle step of
+    RangeProblem.run: one weighted least-squares fit whose normal equations
+    add mu[0] (x, t) to mu[1 + j] / (round_j - 1) times the prefix sums of
+    entry j, so a queried point carries the accumulated weight of every
+    ledger constraint whose prefix contains it.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.size != 1 + len(state.ledger):
+        raise ValueError("need one weight for the target plus one per ledger entry")
+    if not np.all(np.isfinite(mu) & (mu >= 0)):
+        raise ValueError("constraint weights must be finite and nonnegative")
+    xd = x.to_dense(state.dim)
+    gram = mu[0] * np.outer(xd, xd)
+    moment = mu[0] * t * xd
+    for weight, entry in zip(mu[1:], state.ledger):
+        count = state.n_points_before(entry.round)
+        if count:
+            g, h, _ = state.prefix_sums(count)
+            gram = gram + weight / (entry.round - 1) * g
+            moment = moment + weight / (entry.round - 1) * h
+    return LinearRegressor(solve_bounded_least_squares(gram, moment, bound), bound)
 
 
 def single_point_state(cost=0.3, budget_risk=0.0, delta=0.04, dim=1):
@@ -631,11 +662,12 @@ def test_bracket_is_sound_against_grid():
 
 
 def test_exact_run_settles_its_searches_in_closed_form(monkeypatch):
-    # The exact-coal benchmark stream for benchmark seed 1. Each of its
-    # RangeProblems serves two searches; at most 2% of them may play a game.
-    from coal import cost_range
+    # The exact-coal benchmark stream for benchmark seed 1. Each round's
+    # kernel (cost_intervals) runs 2 K searches; at most 2% of them may play
+    # a game.
+    from coal import cost_range, driver
 
-    calls = {"problems": 0, "games": 0}
+    calls = {"rounds": 0, "games": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -644,34 +676,36 @@ def test_exact_run_settles_its_searches_in_closed_form(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(driver, "cost_intervals", counted("rounds", driver.cost_intervals))
     problem = cost_range.RangeProblem
-    monkeypatch.setattr(problem, "__init__", counted("problems", problem.__init__))
     monkeypatch.setattr(problem, "run", counted("games", problem.run))
     spec = parse_synthetic_spec("massart:k=3,dim=4,tau=0.3,n=80,noise=none")
     cfg = ExperimentConfig(
         synthetic=spec, mode="exact", seeds=1, out_dir="", synthetic_seed_base=1_001_000
     )
     run_experiment(cfg)
-    assert calls["problems"] >= 200
-    assert calls["games"] <= 0.02 * 2 * calls["problems"]
+    searches = 2 * 3 * calls["rounds"]
+    assert searches >= 400
+    assert calls["games"] <= 0.02 * searches
 
 
 def test_exact_round_factorises_each_prefix_once(monkeypatch):
     # The exact-coal benchmark stream for benchmark seed 1. coal.oracle and
     # coal.cost_range look np.linalg's functions up on numpy's module, so the
     # wrappers see every call: one factorisation per deduplicated ledger
-    # prefix, at its first read, not one per prefix and problem; eigh outside
-    # the games (the refit, whose memo the next round's anchors share) at most
-    # once per label and round. This guards the O(m d^2) round untimed.
-    from coal import harness
+    # prefix, at its first read, not one per prefix and search; eigh outside
+    # the games (the stacked refit, whose memo the next round's anchors
+    # share) at most once per label and round. This guards the O(m d^2)
+    # round untimed.
+    from coal import driver, harness
 
-    calls = {"factorisations": 0, "eigh": 0, "game_eigh": 0, "problems": 0}
+    calls = {"factorisations": 0, "eigh": 0, "game_eigh": 0, "rounds": 0}
     depth = [0]
 
     def counted(original, name):
         def wrapper(*args, **kwargs):
             # a stacked (..., d, d) argument factorises every matrix it holds
-            matrices = int(np.prod(np.shape(args[0])[:-2])) if name != "problems" else 1
+            matrices = int(np.prod(np.shape(args[0])[:-2])) if name != "rounds" else 1
             calls["game_eigh" if name == "eigh" and depth[0] else name] += matrices
             return original(*args, **kwargs)
 
@@ -680,7 +714,7 @@ def test_exact_round_factorises_each_prefix_once(monkeypatch):
     for name in ("solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), "factorisations"))
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
-    monkeypatch.setattr(RangeProblem, "__init__", counted(RangeProblem.__init__, "problems"))
+    monkeypatch.setattr(driver, "cost_intervals", counted(driver.cost_intervals, "rounds"))
     run = RangeProblem.run
 
     def game(*args, **kwargs):
@@ -708,7 +742,7 @@ def test_exact_round_factorises_each_prefix_once(monkeypatch):
     (state,) = states
     prefixes = sum(label.n_prefixes for label in state.labels)
     assert prefixes == sum(len(label.constraint_view()[0]) for label in state.labels) > 200
-    assert calls["problems"] == 3 * (state.round - 1)
+    assert calls["rounds"] == state.round - 1  # one kernel a round, for every label's searches
     for label in state.labels:  # the prefixes the last refit added, read by no round
         label.prefix_cache()
     assert calls["factorisations"] == prefixes
@@ -835,3 +869,214 @@ def test_constraint_view_copies_leave_later_problems_unchanged():
     assert after.outer == outer and np.array_equal(after.budgets, budgets)
     assert np.array_equal(after.stack, before.stack)
     assert list(state.constraint_view()[0]) == list(after.denoms[1:] + 1.0)
+
+
+class OneLabelProblem:
+    """RangeProblem as it was built one label at a time, before the round
+    kernel: the reference the kernel's lanes are checked against. Its
+    bracket forms each budget row's witness quadratic with one product of
+    the stack per problem; its games are RangeProblem's."""
+
+    run = RangeProblem.run
+
+    def __init__(self, x, state, bound):
+        self.x = x = x.to_dense(state.dim)
+        self.bound = float(bound)
+        self.stack, inverses, self.fits, residuals, fit_norms, table = state.prefix_cache()
+        self.m = m = len(table)
+        self.budgets = table[:, 2]
+        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
+        self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
+        self.directions = inverses @ x
+        leverages = np.maximum(self.directions @ x, 0.0)
+        self.leverage = float(np.min(self.denoms[1:] * leverages, initial=np.inf))
+        self.anchor = state.erm_weights(int(table[-1, 0]), self.bound) if m else np.zeros(x.size)
+        budgets = self.budgets * self.denoms[1:]
+        rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
+        centres, half = self.fits @ x, np.sqrt(rho) * np.sqrt(leverages)
+        reach = self.bound * math.sqrt(float(x @ x))
+        lo, hi = np.max(centres - half, initial=-reach), np.min(centres + half, initial=reach)
+        self.outer, self.start = (float(lo), float(hi)), float(self.anchor @ x)
+        self.up = self.directions[-1] if m else x
+        v, dv = np.append(self.anchor, -1.0), np.append(self.up, 0.0)
+        forms = np.stack((np.outer(v, v), np.outer(v, dv), np.outer(dv, dv)))
+        ball = [self.anchor @ self.anchor, self.anchor @ self.up, self.up @ self.up]
+        a, self.slopes, c = np.vstack((self.stack[1:] @ forms.reshape(3, -1).T, ball)).T
+        self.room = np.append(budgets, self.bound**2) - a
+        self.broken = bool(np.any(self.room < 0.0))
+        self.curvatures = np.maximum(c, 0.0)
+        self.disc = np.hypot(self.slopes, np.sqrt(self.curvatures) * np.sqrt(np.abs(self.room)))
+
+    def bracket(self, t):
+        lo, hi = self.outer
+        c_lo = min(max(lo - t, t - hi, 0.0) ** 2, 1.0)
+        if self.broken:
+            return c_lo, 1.0, None
+        x, start = self.x, self.start
+        sign = math.copysign(1.0, t - start)
+        step, b = sign * self.up, sign * self.slopes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            disc, c = self.disc, self.curvatures
+            roots = np.where(b < 0.0, (disc - b) / c, self.room / (b + disc))
+            alpha = min(float(roots.min()), abs((t - start) / (x @ step)))
+        if not math.isfinite(alpha):
+            alpha = 0.0
+        witness = self.anchor + alpha * (1.0 - STEP_MARGIN) * step
+        return c_lo, min(max((witness @ x - t) ** 2, c_lo), 1.0), witness
+
+
+def one_label_interval(x, state, tol, round_i, delta_i, rho, bound, settings):
+    """cost_interval of one label as it was computed before the round kernel."""
+    problem = OneLabelProblem(x, state, bound)
+    cfg = mw_config_for(problem.m + 1, mw_iterations(round_i, delta_i, tol, settings), rho)
+    slack, geom, reach = mw_slack(problem.m + 1, cfg), 0.0, bound * math.sqrt(problem.x @ problem.x)
+    if slack > 0.0:
+        geom = min(math.sqrt(slack * problem.leverage), 2.0 * reach)
+    ends = []
+    for t in (0, 1):
+        c_lo, c_hi, side, _ = _bisect_cost(t, problem, tol, cfg, settings)
+        if t == 1:
+            raw = 1.0 if side > 1.0 else 1.0 - math.sqrt(c_lo)
+        else:
+            raw = 0.0 if side < 0.0 else math.sqrt(c_lo)
+        ends.append((min(1.0, max(0.0, raw)), math.sqrt((c_hi - c_lo) + slack) + geom))
+    (lo, lo_tol), (hi, hi_tol) = ends
+    iv = CostInterval(lo=lo, hi=hi, tol=max(lo_tol, hi_tol))
+    return iv.lo, iv.hi, iv.tol, problem
+
+
+def random_lanes(rng, d, k, bound):
+    """k labels sharing one PrefixBlock, with unequal ledgers: from 0 to 12
+    prefixes each, points from a random subspace (so many prefixes are
+    rank-deficient), costs from a noisy linear truth, and radii down to 1e-4,
+    tight enough that the anchor often breaks an earlier budget."""
+    block = PrefixBlock(d)
+    labels = [LabelState(y, d, block) for y in range(1, k + 1)]
+    basis = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+    truth = rng.normal(size=d) / math.sqrt(d)
+    rounds, points = 1, []
+    for label in labels:
+        scale = 10.0 ** rng.uniform(-4, -0.5)
+        round_i = 1
+        for _ in range(int(rng.choice([0, 1, 1, 2, 3, 5, 8, 12]))):
+            z = basis @ rng.normal(size=basis.shape[1])
+            points.append((label, z))
+            cost = float(np.clip(0.5 + z @ truth / 4 + rng.normal(scale=0.2), 0.0, 1.0))
+            label.append_point(round_i, sparse_vector(list(enumerate(z))), cost)
+            for _ in range(int(rng.integers(1, 3))):  # a repeat adds no constraint
+                round_i += 1
+                erm = label.erm_weights(round_i, bound)
+                risk = label.risk_of_weights(erm, round_i)
+                label.append_ledger(round_i, risk, scale * float(rng.uniform(0.5, 2.0)))
+        rounds = max(rounds, round_i)
+    return labels, basis, rounds, points
+
+
+def test_round_kernel_lanes_match_the_one_label_path():
+    # The K-lane kernel against each label's interval computed alone, as
+    # before the kernel: lo and hi bit for bit, tol to 1e-12. Every search
+    # the kernel settles reads the same outer range; an open search plays
+    # the same games from a bracket whose witness is the same regressor up
+    # to rounding (the kernel carries its anchor-only parts).
+    rng = np.random.default_rng(17)
+    seen = {"m=0": 0, "m=1": 0, "closed": 0, "open": 0, "broken": 0, "padded": 0, "singular": 0}
+    seen["open, with a witness"] = seen["raises"] = 0
+    settings = MwSettings(t_max=300)
+    for trial in range(240):
+        d, k = trial % 6 + 1, int(rng.integers(2, 5))
+        bound = float(rng.choice((0.5, 2.0, 10.0)))
+        labels, basis, rounds, points = random_lanes(rng, d, k, bound)
+        z = basis @ rng.normal(size=basis.shape[1]) + (rng.uniform() < 0.5) * rng.normal(size=d)
+        # on the line of a one-prefix lane's point, where that lane's range is finite
+        lines = [z for label, z in points if label.n_prefixes == 1]
+        if lines and rng.uniform() < 0.5:
+            z = lines[int(rng.integers(len(lines)))] * rng.uniform(0.5, 2.0)
+        x = sparse_vector(list(enumerate(z)))
+        tol = float(rng.choice((0.05, 0.1, 0.25)))
+        args = (tol, rounds, float(10.0 ** rng.uniform(-3, 0)), float(rng.choice((1.0, 3.0))))
+        wants = []
+        for label in labels:
+            try:
+                wants.append(one_label_interval(x, label, *args, bound, settings))
+            except ValueError as error:  # an empty version space: lo past hi
+                wants.append(error)
+        errors = [str(want) for want in wants if isinstance(want, ValueError)]
+        if errors:  # the first such lane's, the same ValueError
+            with pytest.raises(ValueError, match=f"^{re.escape(errors[0])}$"):
+                cost_intervals(x, labels, *args, bound, settings)
+            seen["raises"] += 1
+            continue
+        lo, hi, tols = cost_intervals(x, labels, *args, bound, settings)
+        counts = [label.n_prefixes for label in labels]
+        for label, got, (*want, problem) in zip(labels, zip(lo, hi, tols), wants):
+            width = [problem.bracket(t) for t in (0, 1)]
+            opened = sum(c_hi - c_lo > tol * tol / 2.0 for c_lo, c_hi, _ in width)
+            seen["open"] += opened
+            seen["open, with a witness"] += opened * (not problem.broken)
+            seen["closed"] += 2 - opened
+            seen["broken"] += problem.broken
+            seen["m=0"] += problem.m == 0
+            seen["m=1"] += problem.m == 1
+            seen["padded"] += problem.m < max(counts)
+            grams = problem.stack[1:].reshape(-1, d + 1, d + 1)[:, :d, :d]
+            seen["singular"] += any(np.linalg.matrix_rank(g) < d for g in grams)
+        # padded rows decide nothing: whatever they hold, the intervals stay
+        # (the noise has its own generator, so the trials do not depend on
+        # the block's layout)
+        block, noise = labels[0].block, np.random.default_rng(trial)
+        if block.capacity and trial % 3 == 0:
+            for name in block.shapes:
+                rows = getattr(block, name)
+                for lane, count in enumerate(counts):
+                    padded = rows[lane, count + 1 :]
+                    padded[...] = noise.uniform(-1e3, 1e3, padded.shape)
+            again = cost_intervals(x, labels, *args, bound, settings)
+            assert all(np.array_equal(a, b) for a, b in zip((lo, hi, tols), again)), trial
+    seen.pop("raises")  # rare in these ledgers; the next test makes one for sure
+    assert min(seen.values()) >= 20, seen
+
+
+def test_round_kernel_raises_the_one_label_error_on_an_empty_version_space():
+    # label 2's first budget pins w within 0.01 of 0 and its second within
+    # about 0.01 of 0.5: no regressor meets both, the games certify both
+    # searches past each other, and the kernel raises what the label alone
+    # raised, beside a label whose range is fine
+    block = PrefixBlock(1)
+    fine, empty = LabelState(1, 1, block), LabelState(2, 1, block)
+    for label in (fine, empty):
+        label.append_point(1, X1, 0.0)
+        label.append_ledger(2, 0.0, 1e-4)
+    empty.append_point(2, X1, 1.0)
+    empty.append_ledger(3, empty.risk_of_weights(empty.erm_weights(3, 10.0), 3), 1e-4)
+    args = (0.05, 4, 0.01, 0.1, 10.0, MwSettings(t_max=300))
+    lo, hi, _, _ = one_label_interval(X1, fine, *args)
+    assert lo == 0.0 and hi == pytest.approx(0.01)
+    with pytest.raises(ValueError) as alone:
+        one_label_interval(X1, empty, *args)
+    assert str(alone.value).startswith("lo 0.99")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        cost_intervals(X1, [fine, empty], *args)
+
+
+def test_round_kernel_lane_of_one_prefix_matches_alone():
+    # A lane with one prefix beside longer lanes, probed on its point's line
+    # (where its range is finite): numpy forms the lone label's one-row
+    # products with dot, whose rounding the lanes' matrix-vector products
+    # do not share, so the kernel forms that lane's the same way.
+    rng = np.random.default_rng(41)
+    settings = MwSettings(t_max=50)
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        block = PrefixBlock(d)
+        labels = [LabelState(y, d, block) for y in (1, 2)]
+        for label, n in zip(labels, (1, int(rng.integers(2, 6)))):
+            for round_i in range(1, n + 1):
+                z = rng.normal(size=d)
+                label.append_point(round_i, sparse_vector(list(enumerate(z))), rng.uniform())
+                erm = label.erm_weights(round_i + 1, 10.0)
+                label.append_ledger(round_i + 1, label.risk_of_weights(erm, round_i + 1), 0.01)
+        z = labels[0].prefix_row(1)[:d, d] * rng.uniform(0.5, 2.0)  # cost times the point
+        x = sparse_vector(list(enumerate(z)))
+        lo, hi, tol = cost_intervals(x, labels, 0.05, 20, 0.01, 3.0, 10.0, settings)
+        want = one_label_interval(x, labels[0], 0.05, 20, 0.01, 3.0, 10.0, settings)
+        assert (lo[0], hi[0]) == want[:2] and abs(tol[0] - want[2]) <= 1e-12

@@ -202,7 +202,7 @@ def test_passive_exact_skips_interval_solves(monkeypatch):
         raise AssertionError("a passive round computed a cost range")
 
     monkeypatch.setattr("coal.driver.batch_cost_ranges", probe)
-    monkeypatch.setattr("coal.driver.cost_interval", probe)
+    monkeypatch.setattr("coal.driver.cost_intervals", probe)
     for mode in ("exact", "online"):
         state = fresh_state(policy="passive", mode=mode)
         state.round = 9

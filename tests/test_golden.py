@@ -1,9 +1,11 @@
-"""Golden output: the curve and summary CSV bytes of eight fixed runs.
+"""Golden output: the curve and summary CSV bytes of nine fixed runs.
 
 Each run's two CSVs are pinned by their sha256, so a change that moves any
 learning curve by a single byte fails here, whatever its size. The pins
 cover exact mode (feasibility games and the ledger refit), exact mode at a
-small mellowness (where its intervals narrow and decide queries), a long
+small mellowness (where its intervals narrow and decide queries), the same
+radius on Bernoulli costs (where the anchor often breaks a budget, so the
+bracket leaves searches open and the games decide them), a long
 exact run (about a thousand ledger prefixes per label, so the per-prefix
 caches grow through many doublings), online mode (the closed-form range
 probe) on a short stream and on a long one, the passive baseline in each
@@ -29,6 +31,10 @@ PINS = {
     "exact-tight": (
         "c29a735d55d91889078ff9d392ab616d9a50beb75e1bd4f4a65a6d30980e9419",
         "e83478e66bdbd1520a6f89fac153080863fc1d9abb9a0be3e7d290a91c3ef375",
+    ),
+    "exact-tight-noisy": (
+        "ebfd0e326b63401b0c8a17814980b192868a794e42b8e7e56d8e3b8f400f0ca4",
+        "0a42808af61ae05dd94a4c1342d66bffa3589b99c441d4d68bcf7c142ef6d6bc",
     ),
     "exact-long": (
         "1e2dd0204f69b20c7033ab4c4ee1b22f429c7ed8ce8c88af0b363c709182e4d9",
@@ -104,6 +110,16 @@ def test_exact_mode_tight_bytes(tmp_path):
     # intervals narrow, so the games and the bracket decide queries
     got = run_synthetic(EXACT_SPEC, "exact", tmp_path, mellowness=1e-4)
     assert got == PINS["exact-tight"]
+
+
+def test_exact_mode_tight_noisy_bytes(tmp_path):
+    # Bernoulli costs at the tight radius: most searches the bracket leaves
+    # open play games, about 4000 in 480 searches
+    got = run_synthetic(
+        "massart:k=3,dim=4,tau=0.3,n=80", "exact", tmp_path, seeds=1, mellowness=1e-4,
+        synthetic_seed_base=1_001_000,
+    )  # fmt: skip
+    assert got == PINS["exact-tight-noisy"]
 
 
 def test_exact_mode_long_run_bytes(tmp_path):

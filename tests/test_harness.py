@@ -271,9 +271,9 @@ def test_run_seed_deterministic():
 
 def test_run_seed_forced_warmup_queries_everything(monkeypatch):
     # the warm-up rounds play as passive ones: they probe no cost range, and
-    # every later round probes once per round (online) or once per label (exact)
+    # every later round probes once per round, in either mode
     calls = {}
-    for name in ("batch_cost_ranges", "cost_interval"):
+    for name in ("batch_cost_ranges", "cost_intervals"):
 
         def counted(*args, _name=name, _solver=getattr(driver, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -284,7 +284,7 @@ def test_run_seed_forced_warmup_queries_everything(monkeypatch):
     test, _ = gen_stream(3, 3, massart(0.3), 5, seed=401, cost_noise="none")
     for mode, n_train, probes in (
         ("online", 30, {"batch_cost_ranges": 30 - 3}),
-        ("exact", 5, {"cost_interval": (5 - 3) * 3}),
+        ("exact", 5, {"cost_intervals": 5 - 3}),
     ):
         cfg = ExperimentConfig(
             synthetic=small_spec(),
@@ -638,11 +638,15 @@ def test_cli_rejects_a_norm_bound_whose_square_overflows():
         )
         for mode in ("online", "exact")
     ]
-    + [(mode, ("--mellowness", "1e300")) for mode in ("exact", "online")],
+    + [(mode, ("--mellowness", "1e300")) for mode in ("exact", "online")]
+    + [("exact", ("--mellowness", "1e308"))]
+    + [("exact", ("--radius", "theory", "--kappa", "1e308"))],
 )
 def test_cli_runs_extreme_settings_without_a_runtime_warning(mode, setting):
     # in exact mode each used to exit 0 with overflow warnings from the
-    # bracket, or, past a norm bound of 1e154, to exit 1
+    # bracket, or, past a norm bound of 1e154, to exit 1; an infinite mellow
+    # radius (1e308) made NaN game weights and exited 1, and a budget whose
+    # product with its round overflowed warned
     proc = run_cli_warnings_as_errors("--mode", mode, *setting)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and "auc median" in proc.stdout

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,3 +378,16 @@ def test_fused_kernel_past_the_float_range_saturates_without_a_warning():
         with np.errstate(over="ignore", divide="ignore"):
             want = per_side_ranges(weights, accums, rate, x, deltas)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_fused_kernel_spans_a_gap_whose_cube_underflows_without_a_warning():
+    # 1e-110 ** 3 underflows to 0: the division used to warn "divide by zero";
+    # the move spans so small a gap, as the saturated root says (a gap of
+    # 1e-104 has a subnormal cube, whose quotient overflowed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1e-110, 1e-104):
+            lo, hi = batch_cost_ranges(
+                np.array([[p], [0.5]]), np.ones((2, 1)), 0.5, sparse_vector([(0, 1.0)]), 0.01
+            )
+            assert lo[0] == 0.0 and 0.0 < hi[0] < 1.0 and 0.0 < lo[1] < 0.5 < hi[1] < 1.0

@@ -9,8 +9,10 @@ from coal.oracle import (
     LabelState,
     RIDGE,
     LinearRegressor,
+    PrefixBlock,
     WeightedPoint,
     fit_weighted,
+    refit,
     solve_bounded_least_squares,
 )
 
@@ -410,3 +412,60 @@ def test_erm_weights_match_fit_weighted():
     w_state = state.erm_weights(7, bound=10.0)
     w_direct = fit_weighted(points, 10.0, dim=3).weights
     assert np.allclose(w_state, w_direct, atol=1e-8)
+
+
+def test_stacked_solve_matches_each_lone_system_bit_for_bit():
+    # the refit solves a round's systems with one eigh; each answer is that
+    # of the system solved alone, bit for bit, whether it lies inside the
+    # ball, on its sphere, or comes from a singular or an empty Gram
+    rng = np.random.default_rng(31)
+    seen = {"inside": 0, "sphere": 0, "singular": 0, "empty": 0}
+    for d in range(1, 7):
+        for _ in range(40):
+            systems = []
+            for _ in range(int(rng.integers(1, 6))):
+                rank = int(rng.integers(0, d + 1))  # below d: a singular Gram; 0: an empty one
+                points = rng.normal(size=(int(rng.integers(1, 2 * d + 1)), rank))
+                points = points @ rng.normal(size=(rank, d))
+                costs = rng.uniform(size=len(points))
+                systems.append((points.T @ points, points.T @ costs))
+            grams, moments = map(np.array, zip(*systems))
+            bound = float(rng.choice((0.1, 1.0, 10.0)))
+            got = solve_bounded_least_squares(grams, moments, bound)
+            for gram, moment, weights in zip(grams, moments, got):
+                want = solve_bounded_least_squares(gram, moment, bound)
+                assert np.array_equal(weights, want)
+                norm = np.linalg.norm(want)
+                seen["empty"] += not gram.any()
+                seen["singular"] += bool(gram.any()) and np.linalg.matrix_rank(gram) < d
+                seen["sphere" if norm >= bound * (1 - 1e-9) else "inside"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_refit_memo_matches_each_label_fitted_alone():
+    # refit fills the erm_weights memo of many labels with one stacked solve:
+    # the weights, and the unnormalised risk that risk_of_weights reads back,
+    # are those of each label fitted alone, bit for bit, on full-rank and
+    # rank-deficient histories alike
+    rng = np.random.default_rng(53)
+    for d in range(1, 10):
+        for _ in range(12):
+            block = PrefixBlock(d)
+            labels = [LabelState(y, d, block) for y in range(1, 5)]
+            alone = [LabelState(y, d) for y in range(1, 5)]
+            basis = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+            round_i = 1
+            for round_i in range(1, int(rng.integers(2, 3 * d + 3))):
+                for label, twin in zip(labels, alone):
+                    if rng.uniform() < 0.6:
+                        z = rng.normal(size=len(basis)) @ basis
+                        x, cost = sparse_vector(list(enumerate(z))), float(rng.uniform())
+                        label.append_point(round_i, x, cost)
+                        twin.append_point(round_i, x, cost)
+            bound = float(rng.choice((0.1, 1.0, 10.0)))
+            refit(labels, round_i + 1, bound)
+            for label, twin in zip(labels, alone):
+                want = twin.erm_weights(round_i + 1, bound)
+                assert label._fit[:2] == twin._fit[:2]
+                assert np.array_equal(label._fit[2], want) and label._fit[3] == twin._fit[3]
+                assert label.erm_weights(round_i + 1, bound) is label._fit[2]
