@@ -33,9 +33,36 @@ class DataError(ValueError):
     """Structurally valid input that violates a semantic requirement."""
 
 
+def check_features(indices, values, ends=()):
+    """Raise DataError unless each row holds a SparseVector's content: indices non-negative
+    and strictly increasing, values finite and nonzero. Row i ends at ends[i] (none: one row)."""
+    starts = np.zeros(indices.size + 1, dtype=bool)
+    starts[np.asarray(ends, dtype=np.intp)] = True
+    if indices.min(initial=0) < 0 or not ((indices[1:] > indices[:-1]) | starts[1:-1]).all():
+        raise DataError("feature indices must be non-negative and strictly increasing")
+    if not (np.isfinite(values) & (values != 0.0)).all():
+        raise DataError("feature values must be finite, and zero entries omitted")
+
+
+def check_costs(costs, observed):
+    """Raise DataError unless every observed cost, of one vector or a table, is in [0, 1]."""
+    seen = costs[observed]
+    if not ((seen >= 0.0) & (seen <= 1.0)).all():  # NaN fails both
+        raise DataError("observed costs must lie in [0, 1]")
+
+
+def prechecked(cls, *fields):
+    """A cls from fields that already meet its rules, built without checking them again."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Sparse feature vector: strictly increasing indices, nonzero finite values."""
+    """Sparse feature vector: strictly increasing indices, nonzero finite values. Checked
+    per vector when built one at a time, once per stream when built in bulk."""
 
     indices: np.ndarray
     values: np.ndarray
@@ -47,15 +74,7 @@ class SparseVector:
         object.__setattr__(self, "values", val)
         if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
             raise DataError("indices and values must be 1-d arrays of equal length")
-        if idx.size:
-            if idx[0] < 0:
-                raise DataError("feature indices must be non-negative")
-            if np.any(np.diff(idx) <= 0):
-                raise DataError("feature indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise DataError("feature values must be finite")
-        if np.any(val == 0.0):
-            raise DataError("zero entries must be omitted")
+        check_features(idx, val)
 
     @property
     def nnz(self):
@@ -99,20 +118,18 @@ def sparse_vector(pairs):
 
     Duplicate indices are summed; entries that cancel to zero are dropped.
     """
-    if not pairs:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
     acc = {}
     for i, v in pairs:
         acc[int(i)] = acc.get(int(i), 0.0) + float(v)
     idx = sorted(k for k, v in acc.items() if v != 0.0)
-    return SparseVector(
-        np.array(idx, dtype=np.int64), np.array([acc[k] for k in idx], dtype=np.float64)
-    )
+    val = np.array([acc[k] for k in idx], dtype=np.float64)
+    return SparseVector(np.array(idx, dtype=np.int64), val)
 
 
 @dataclass(frozen=True, eq=False)
 class CostVector:
-    """Per-label costs in [0, 1] with observation flags; unobserved slots are NaN."""
+    """Per-label costs in [0, 1] with observation flags; unobserved slots are NaN. Checked
+    per vector when built one at a time, once per stream when built in bulk."""
 
     costs: np.ndarray
     observed: np.ndarray
@@ -126,11 +143,7 @@ class CostVector:
             raise DataError("costs and observed must be 1-d arrays of equal length")
         if c.size == 0:
             raise DataError("need at least one label")
-        seen = c[o]
-        if seen.size and (
-            not np.all(np.isfinite(seen)) or seen.min() < 0.0 or seen.max() > 1.0
-        ):
-            raise DataError("observed costs must lie in [0, 1]")
+        check_costs(c, o)
 
     @property
     def k(self):
@@ -183,6 +196,17 @@ def partial_costs(k, observed_map):
 class LabeledExample:
     features: SparseVector
     costs: CostVector
+
+
+def examples_from_arrays(idx, val, ends, costs, observed):
+    """A stream's examples, checked once as a whole: example i views idx and val from
+    ends[i - 1] (0 for i = 0) to ends[i], and row i of the (n, K) costs and observed tables."""
+    check_features(idx, val, ends)
+    check_costs(costs, observed)
+    return [
+        LabeledExample(prechecked(SparseVector, idx[a:b], val[a:b]), prechecked(CostVector, c, o))
+        for a, b, c, o in zip([0, *ends], ends, costs, observed)
+    ]
 
 
 def _float_repr(x):

@@ -28,10 +28,11 @@ from .data import (
     content_lines,
     parse_example,
     parse_hierarchy,
+    prechecked,
     serialize_example,
-    sparse_vector,
     tree_distance_costs,
     LabeledExample,
+    SparseVector,
 )
 from .driver import (
     MODES,
@@ -213,7 +214,9 @@ def ensure_bias(example):
     feats = example.features
     if feats.nnz and int(feats.indices[0]) == 0:
         return example
-    return LabeledExample(sparse_vector([(0, 1.0)] + feats.pairs()), example.costs)
+    # index 0 before checked indices keeps them increasing: nothing to check again
+    biased = prechecked(SparseVector, np.r_[0, feats.indices], np.r_[1.0, feats.values])
+    return LabeledExample(biased, example.costs)
 
 
 def _scan_max_label(lines):
@@ -281,14 +284,9 @@ def fill_hierarchy_costs(examples, hierarchy):
     leaves = hierarchy.leaf_labels
     diameter = max(hierarchy.path_edges(a, b) for a in leaves for b in leaves)
     scale = 1.0 / diameter if diameter else 1.0
-    filled = []
-    for ex in examples:
-        observed = ex.costs.observed_labels()
-        best = min(observed, key=lambda y: (ex.costs.cost_of(y), y))
-        filled.append(
-            LabeledExample(ex.features, tree_distance_costs(hierarchy, best, scale))
-        )
-    return filled
+    by_label = [tree_distance_costs(hierarchy, y, scale) for y in range(1, hierarchy.k + 1)]
+    best = (np.argmin(np.where(ex.costs.observed, ex.costs.costs, np.inf)) for ex in examples)
+    return [LabeledExample(ex.features, by_label[y]) for ex, y in zip(examples, best)]
 
 
 def write_stream(path, examples):

@@ -21,12 +21,13 @@ exact expected costs (noise "none").
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost_range import CostInterval
-from .data import LabeledExample, full_costs, sparse_vector
+from .data import examples_from_arrays
 
 COST_NOISES = ("bernoulli", "none")
 DISTRACTOR_DENSITY = 0.5
@@ -78,8 +79,8 @@ class GroundTruth:
 
 
 def _draw_margin(spec, rng):
-    # two uniforms are always consumed so the draw count per example is fixed
-    u1, u2 = rng.uniform(), rng.uniform()
+    # two uniforms always, so the draw count per example is fixed (random() is uniform())
+    u1, u2 = rng.random(), rng.random()
     if spec.kind == "massart":
         spread = min(0.2, 0.9 - spec.tau)
         return spec.tau if u1 < 0.5 else spec.tau + u2 * spread
@@ -92,10 +93,10 @@ def _draw_margin(spec, rng):
 def gen_stream(k, dim, spec, n, seed, cost_noise="bernoulli"):
     """Generate n examples plus the ground truth that produced them.
 
-    dim counts the feature slots beyond the bias; slots 1..k encode the true
-    costs, slots k+1..dim are distractors, each drawn with probability
-    DISTRACTOR_DENSITY, so dim >= k is required. The stream is a pure
-    function of the arguments (numpy default_rng(seed)).
+    dim counts the feature slots beyond the bias; slots 1..k encode the true costs, slots
+    k+1..dim are distractors, each drawn with probability DISTRACTOR_DENSITY, so dim >= k
+    is required. The stream is a pure function of the arguments (numpy default_rng(seed)).
+    It is built in bulk and checked once per stream (data.examples_from_arrays), not per example.
     """
     if k < 2:
         raise ValueError("need at least two labels")
@@ -107,30 +108,32 @@ def gen_stream(k, dim, spec, n, seed, cost_noise="bernoulli"):
     truth = np.zeros((k, dim + 1))
     truth[np.arange(k), np.arange(1, k + 1)] = 1.0
 
-    examples = []
-    for _ in range(n):
+    idx, val, ends = array("q"), array("d"), []  # every example's entries, end to end
+    observed = np.empty((n, k))
+    row = np.ones(dim + 1)  # one example's bias, true costs and distractor values
+    kept = np.ones(dim + 1, dtype=bool)  # the slots it holds
+    for i in range(n):
         m = _draw_margin(spec, rng)
         y_star = int(rng.integers(k))
         c_best = rng.uniform(0.02, min(0.35, 1.0 - m - 0.05))
         runner = int(rng.integers(k - 1))
         runner = runner if runner < y_star else runner + 1
         headroom = 1.0 - (c_best + m)
-        extras = rng.uniform(0.0, headroom, size=k)
-        true_costs = np.full(k, c_best + m) + extras
+        true_costs = row[1 : k + 1]
+        np.add(c_best + m, rng.uniform(0.0, headroom, size=k), out=true_costs)
         true_costs[runner] = c_best + m
         true_costs[y_star] = c_best
+        draw = rng.random((dim - k, 2))  # (coin, value) of each distractor slot
+        np.less(draw[:, 0], DISTRACTOR_DENSITY, out=kept[k + 1 :])
+        row[k + 1 :] = draw[:, 1] * (1.0 - 0.1) + 0.1  # uniform(0.1, 1.0)'s own arithmetic
+        slots = np.flatnonzero(kept)
+        idx.frombytes(slots.tobytes())
+        val.frombytes(row[slots].tobytes())
+        ends.append(len(idx))
+        observed[i] = rng.binomial(1, true_costs) if cost_noise == "bernoulli" else true_costs
 
-        pairs = [(0, 1.0)] + [(1 + j, float(true_costs[j])) for j in range(k)]
-        for slot in range(k + 1, dim + 1):
-            coin, value = rng.uniform(), rng.uniform(0.1, 1.0)
-            if coin < DISTRACTOR_DENSITY:
-                pairs.append((slot, value))
-        observed = (
-            rng.binomial(1, true_costs).astype(np.float64)
-            if cost_noise == "bernoulli"
-            else true_costs
-        )
-        examples.append(LabeledExample(sparse_vector(pairs), full_costs(observed)))
+    idx, val = np.frombuffer(idx, dtype=np.int64), np.frombuffer(val)
+    examples = examples_from_arrays(idx, val, ends, observed, np.ones((n, k), dtype=bool))
     return examples, GroundTruth(weights=truth, noise=cost_noise)
 
 

@@ -39,12 +39,44 @@ print(json.dumps(tracer.layer_metrics()))
 """
 
 
+# the file workload's path: a written stream and label tree through cli.main
+FILE_SCRIPT = """
+import json
+import sys
+
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracing import Tracer
+from workloads import HIERARCHY_LINES
+
+from coal import cli, cost_range, driver, harness, oracle
+from coal.data import parse_hierarchy
+from coal.synthetic import gen_stream, massart
+
+out, k = sys.argv[3], parse_hierarchy(HIERARCHY_LINES).k
+examples, _ = gen_stream(k, 8, massart(0.3), int(sys.argv[4]), 1)
+harness.write_stream(f"{out}/train.txt", examples)
+with open(f"{out}/tree.txt", "w", encoding="utf-8") as fh:
+    fh.write("\\n".join(HIERARCHY_LINES) + "\\n")
+
+tracer = Tracer()
+tracer.install((cli, harness, driver, cost_range, oracle), True)
+argv = ["--data", f"{out}/train.txt", "--hierarchy", f"{out}/tree.txt", "--policy", "passive"]
+assert cli.main([*argv, "--mode", "online", "--seeds", "1", "--out", out]) == 0
+print(json.dumps(tracer.layer_metrics()))
+"""
+
+
 def traced_metrics(mode, n, policy="coal", mellowness=0.01):
     """Per-layer metrics of one traced run, under a tracer of its own."""
+    return run_traced(SCRIPT, mode, str(n), policy, str(mellowness))
+
+
+def run_traced(script, *args):
+    """The layer metrics a traced script prints, run with perfbench and src on its path."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), mode, str(n), policy, str(mellowness)]
+    argv = [str(ROOT / "perfbench"), str(ROOT / "src"), *args]
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -65,6 +97,8 @@ def test_traced_run_reaches_every_layer():
     assert exact["oracle.append_point.calls"] > 0
     assert exact["driver.process_example.calls"] > 0
     online = traced_metrics("online", 40)
+    assert online["synthetic.gen_stream.calls"] > 0
+    assert online["synthetic.gen_stream.examples_per_s"] > 0
     assert online["online.batch_cost_ranges.calls"] > 0
     assert online["online.online_update.calls"] > 0
     # online mode reads no ledger, so it writes no exact history either
@@ -77,3 +111,13 @@ def test_traced_passive_run_probes_no_range():
     passive = traced_metrics("online", 40, policy="passive")
     assert passive["online.batch_cost_ranges.calls"] == 0
     assert passive["online.online_update.calls"] > 0
+
+
+def test_traced_file_run_times_its_set_up(tmp_path):
+    # text-passive-wide's set-up: every line parsed under its hook, then the
+    # tree's costs filled in
+    n = 30
+    traced = run_traced(FILE_SCRIPT, str(tmp_path), str(n))
+    assert traced["data.parse_example.calls"] == n
+    assert traced["harness.load_dataset.s"] > 0
+    assert traced["harness.fill_hierarchy_costs.s"] > 0

@@ -14,6 +14,7 @@ from coal.data import (
     QueryLog,
     SparseVector,
     content_lines,
+    examples_from_arrays,
     full_costs,
     parse_example,
     parse_hierarchy,
@@ -73,6 +74,9 @@ def test_parse_rejects_features_whose_squared_norm_overflows():
     assert (err.value.line, err.value.column) == (4, 13)
     ex = parse_example("1:0.0 2:1.0 | 1:1.3e153 2:1.3e153", k=2)
     assert ex.features.pairs() == [(1, 1.3e153), (2, 1.3e153)]
+    # so is one index whose summed value has no finite square
+    with pytest.raises(ParseError):
+        parse_example("1:0.0 2:1.0 | 1:1.3e154 1:1.3e154", k=2)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +101,12 @@ def test_parse_rejects_malformed_lines(line):
 def test_parse_sums_duplicate_features():
     ex = parse_example("1:0.5 | 4:0.25 4:0.5 2:1", k=1)
     assert ex.features.pairs() == [(2, 1.0), (4, 0.75)]
+    # lines already in canonical form, and lines that are not, give the same vector
+    for features in ("1:1 3:2", "3:2 1:1", "1:1 2:0 3:2", "1:1 2:1 3:2 2:-1"):
+        x = parse_example(f"1:0.5 | {features}", k=1).features
+        assert x == sparse_vector([(1, 1.0), (3, 2.0)])
+        assert (x.indices.dtype, x.values.dtype) == (np.int64, np.float64)
+    assert parse_example("1:0.5 | 2:1 2:-1", k=1).features.nnz == 0
 
 
 def test_parse_allows_feature_index_zero():
@@ -148,13 +158,67 @@ def test_sparse_vector_canonicalizes():
     assert v.nnz == 1
 
 
+def stream_of(rows, costs=None, observed=None):
+    """examples_from_arrays over (indices, values) rows laid end to end; NaN costs unobserved."""
+    idx = np.array([i for row_idx, _ in rows for i in row_idx], dtype=np.int64)
+    val = np.array([v for _, row_val in rows for v in row_val], dtype=np.float64)
+    ends = np.cumsum([len(row_idx) for row_idx, _ in rows]).tolist()
+    costs = np.full((len(rows), 2), 0.5) if costs is None else np.asarray(costs)
+    observed = ~np.isnan(costs) if observed is None else observed
+    return examples_from_arrays(idx, val, ends, costs, observed)
+
+
+GOOD_ROW = ([0, 4], [1.0, 0.5])
+
+
+BAD_ROWS = [
+    ([2, 2], [1.0, 1.0]),  # repeated index
+    ([3, 1], [1.0, 1.0]),  # decreasing index
+    ([-1], [1.0]),  # negative index
+    ([1], [0.0]),  # zero value
+    ([1], [math.nan]),
+    ([1], [math.inf]),
+]
+
+
 def test_sparse_vector_rejects_bad_entries():
-    with pytest.raises(DataError):
-        SparseVector(np.array([2, 2]), np.array([1.0, 1.0]))
-    with pytest.raises(DataError):
-        SparseVector(np.array([1]), np.array([math.inf]))
-    with pytest.raises(DataError):
-        SparseVector(np.array([-1]), np.array([1.0]))
+    for row in BAD_ROWS:
+        with pytest.raises(DataError):
+            SparseVector(np.array(row[0]), np.array(row[1]))
+        # the one-pass stream check finds the row wherever it sits
+        for rows in ([row], [GOOD_ROW, row], [row, GOOD_ROW], [GOOD_ROW, row, GOOD_ROW]):
+            with pytest.raises(DataError):
+                stream_of(rows)
+
+
+def test_stream_check_resets_at_each_example():
+    # a lower index at the start of the next example is no decrease
+    rows = [GOOD_ROW, ([0, 2, 9], [0.5, -1.0, 2.0]), ([], []), ([1], [3.0]), GOOD_ROW]
+    stream = stream_of(rows, [[0.0, 1.0], [0.25, np.nan], [1.0, 0.5], [0.5, 0.5], [0.0, 0.0]])
+    assert [ex.features for ex in stream] == [SparseVector(*row) for row in rows]
+    assert stream[1].costs == CostVector([0.25, np.nan], [True, False])
+
+
+rows_st = st.lists(
+    st.lists(
+        st.tuples(st.integers(-1, 4), st.sampled_from((0.5, -2.0, 0.0, math.nan, math.inf))),
+        max_size=4,
+    ),
+    max_size=4,
+)
+
+
+@given(rows_st)
+@settings(max_examples=200, deadline=None)
+def test_stream_check_accepts_exactly_streams_of_valid_vectors(pairs):
+    rows = [([i for i, _ in row], [v for _, v in row]) for row in pairs]
+    try:
+        vectors = [SparseVector(np.array(i, dtype=np.int64), np.array(v)) for i, v in rows]
+    except DataError:
+        with pytest.raises(DataError):
+            stream_of(rows)
+    else:
+        assert [ex.features for ex in stream_of(rows)] == vectors
 
 
 def test_sparse_vector_dot_and_dense():
@@ -165,10 +229,14 @@ def test_sparse_vector_dot_and_dense():
 
 
 def test_cost_vector_bounds_checked_on_construction():
-    with pytest.raises(DataError):
-        full_costs([0.2, 1.4])
-    with pytest.raises(DataError):
-        full_costs([-0.1, 0.5])
+    for bad in (1.4, -0.1, math.inf, math.nan):
+        with pytest.raises(DataError):
+            full_costs([0.2, bad])
+        with pytest.raises(DataError):
+            CostVector([bad, 0.5], [True, True])
+        # a stream's cost table is checked once, in any row
+        with pytest.raises(DataError):
+            stream_of([GOOD_ROW, GOOD_ROW], [[0.2, 0.3], [0.5, bad]], np.ones((2, 2), dtype=bool))
 
 
 def test_cost_vector_unobserved_access_raises():

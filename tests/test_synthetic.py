@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,36 @@ def test_stream_is_deterministic_in_seed():
     lines_b = [serialize_example(ex) for ex in second]
     assert lines_a == lines_b
     assert lines_a != [serialize_example(ex) for ex in other]
+
+
+LAWS = {"massart": massart(0.3), "tsybakov": tsybakov(0.5, 2.0, 4.0)}
+# sha256 of three seeds' streams, taken before generation moved to one check per stream
+STREAM_PINS = {
+    ("massart", 2, 5, "bernoulli"): "52b75bf7806e4e21aaaf3fddb4882e5fca435ca06b5a16ef9efe66bcbc6a7294",
+    ("massart", 2, 5, "none"): "fb40f2f84b892ae07ea5392d7d90032a9d1a3e522f1bebcf1eff7a28d6ca002e",
+    ("massart", 5, 8, "bernoulli"): "645bebd8c799444b634f79b4a15d94274870bb487967871a2bb94afc62a44789",
+    ("massart", 5, 8, "none"): "c28aae2cdc6c280d109cbfb911240fdde9e9d3907937ba8c5c5dd0da12492a1c",
+    ("tsybakov", 2, 5, "bernoulli"): "74158155f7327dbd5c87d7b0b707e931b564a752ea925077ecf707d41394b5af",
+    ("tsybakov", 2, 5, "none"): "d42b2677fcd284265783df633a891e95ec0612949b9247c0d78bff85a0ec695b",
+    ("tsybakov", 5, 8, "bernoulli"): "44fdf9ff47f5e1497e44a8c1203ac1def5ce74dd8671a5ec20b60b81815b096e",
+    ("tsybakov", 5, 8, "none"): "0ce779d64cf7687eb9f41f3a3c6c8ee7cec38c3f8ff33ebfb230dcac3c9d1478",
+    ("massart", 2, 2, "bernoulli"): "2adeab0ec7e86aecab582b74b268f3c4453952fa8dd082e8c630d4b18f092252",
+    ("tsybakov", 5, 40, "none"): "a7db7e74564d4f0a4970446871439f270649524508b214b0044e513fec576fa5",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", STREAM_PINS, ids=lambda case: "-".join(map(str, case)))
+def test_stream_bytes_are_pinned(case):
+    law, k, dim, noise = case
+    # the text form and every raw array, dtype included, of three seeds' streams
+    h = hashlib.sha256()
+    for seed in (0, 7, 1_000_000):
+        stream, _ = gen_stream(k, dim, LAWS[law], 150, seed, cost_noise=noise)
+        for ex in stream:
+            h.update(serialize_example(ex).encode() + b"\n")
+            for a in (ex.features.indices, ex.features.values, ex.costs.costs, ex.costs.observed):
+                h.update(a.dtype.str.encode() + a.tobytes())
+    assert h.hexdigest() == STREAM_PINS[case]
 
 
 def test_noise_free_fit_recovers_truth():
