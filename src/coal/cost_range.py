@@ -238,8 +238,7 @@ class Brackets:
     |w|^2 is a quadratic c alpha^2 + 2 b alpha + a in the step, so the
     largest step within every budget is a minimum of roots; it stops where
     the prediction reaches t, less STEP_MARGIN for rounding. Where the anchor
-    itself breaks a budget (broken) there is no witness, and c_hi is 1. The
-    block carries each lane's anchor-only parts, a and G_j anchor - h_j. A
+    itself breaks a budget (broken) there is no witness, and c_hi is 1. A
     budget that is infinite, or whose product with its round leaves the
     float range, saturates at the largest risk a regressor in the ball
     reaches on its prefix, (bound sqrt(trace G) + sqrt(s))^2: its row stays
@@ -253,11 +252,10 @@ class Brackets:
         counts = [label.n_prefixes for label in labels]
         anchors = [label.anchor(bound) for label in labels]
         block.fill()
-        block.carry(lanes, anchors)
         self.m = m = np.array(counts)
         count = max(counts)
         self.anchors = anchors = np.array(anchors)
-        stack, inverses, fits, parts, risks, gradients = block.rows(lanes, count)
+        stack, inverses, fits, parts = block.rows(lanes, count)
         residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts
         live = np.arange(1, count + 1) <= m[:, None]
         single = [k for k, c in enumerate(counts) if c == 1] if count > 1 else []
@@ -281,11 +279,13 @@ class Brackets:
         up = self.directions[np.arange(L), m - 1] if count else np.tile(x, (L, 1))
         if 0 in counts:
             up[m == 0] = x
+        v = np.concatenate((anchors, -np.ones((L, 1))), axis=1)
         dv = np.concatenate((up, np.zeros((L, 1))), axis=1)
+        products = (stack.reshape(L, -1, d + 1) @ v[:, :, None]).reshape(L, count, d + 1)  # A_j v
         # each quadratic's rows, and the ball's |w|^2 as the last column
         a, b, room, c = np.empty((4, L, count + 1))
-        a[:, :count], room[:, :count] = risks, budgets
-        b[:, :count] = (gradients @ up[:, :, None])[..., 0]
+        a[:, :count], room[:, :count] = (products @ v[:, :, None])[..., 0], budgets
+        b[:, :count] = (products[..., :d] @ up[:, :, None])[..., 0]
         c[:, :count] = (stack @ (dv[:, :, None] * dv[:, None, :]).reshape(L, -1, 1))[..., 0]
         a[:, count], b[:, count] = _dots(anchors, anchors), _dots(anchors, up)
         c[:, count], room[:, count] = _dots(up, up), bound**2

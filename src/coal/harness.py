@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError("seeds and budget base must be at least 1")
         if self.seed_passive < 0:
             raise ConfigError("seed_passive must be nonnegative")
+        if self.synthetic is not None and self.synthetic_seed_base < 1:  # test stream: base - 1
+            raise ConfigError("synthetic seed base must be at least 1")
         if not 0.0 < self.test_fraction <= 0.5:
             raise ConfigError("test fraction must lie in (0, 0.5]")
         if self.hierarchy is not None and self.dataset is None:

@@ -156,19 +156,14 @@ class PrefixBlock:
     flattened augmented row, G_eps^-1 for G_eps = G + RIDGE I, the ridge fit
     G_eps^-1 h, and the x-free parts s - h'fit, |fit|, round - 1,
     budget * (round - 1) (inf past the float range), sqrt(trace G) and
-    sqrt(s). carry() keeps each lane's witness parts for its anchor: v'A_j v
-    and G_j anchor - h_j, with v = [anchor; -1]. Nothing is allocated before
-    the first prefix.
+    sqrt(s). Nothing is allocated before the first prefix.
     """
 
     def __init__(self, dim):
         d = self.dim = dim
         self.labels, self.capacity = [], 0
-        self.filled, self.anchors = [], []  # per lane: prefixes filled, the carried parts' anchor
-        self.shapes = {
-            "stack": ((d + 1) ** 2,), "inverses": (d, d), "fits": (d,), "parts": (6,),
-            "risks": (), "gradients": (d,),
-        }  # fmt: skip
+        self.filled = []  # per lane: prefixes filled
+        self.shapes = {"stack": ((d + 1) ** 2,), "inverses": (d, d), "fits": (d,), "parts": (6,)}
 
     def rows(self, lanes, count):
         """Views of rows 1..count of a slice of lanes, in shapes' order; parts'
@@ -191,7 +186,7 @@ class PrefixBlock:
                 grown[:, : self.capacity] = getattr(self, name) if self.capacity else 0.0
                 setattr(self, name, grown)
             if not self.capacity:
-                self.filled, self.anchors = [0] * len(self.labels), [None] * len(self.labels)
+                self.filled = [0] * len(self.labels)
             self.capacity = 2 * need - 1
         new = [
             (k, j, label)
@@ -225,20 +220,6 @@ class PrefixBlock:
         self.parts[lanes, rows] = np.array((residuals, fit_norms, denoms, scaled, *roots)).T
         self.filled = [label.n_prefixes for label in self.labels]
 
-    def carry(self, lanes, anchors):
-        """Recompute the witness parts of the lanes (a slice) once one of their
-        anchors changed: all of them, in place, since a slice copies nothing."""
-        ks = range(len(self.labels))[lanes] if self.capacity else ()
-        if all(not self.filled[k] or self.anchors[k] is a for k, a in zip(ks, anchors)):
-            return
-        count, d, n = max(self.filled[k] for k in ks), self.dim, len(ks)
-        v = np.concatenate((anchors, -np.ones((n, 1))), axis=1)
-        rows = self.stack[lanes, 1 : count + 1].reshape(n, -1, d + 1)
-        products = (rows @ v[:, :, None]).reshape(n, count, d + 1)  # A_j v
-        self.gradients[lanes, 1 : count + 1] = products[..., :d]
-        self.risks[lanes, 1 : count + 1] = (products @ v[:, :, None])[..., 0]
-        self.anchors[lanes] = anchors
-
 
 class LabelState:
     """Query history and risk ledger for a single label.
@@ -250,7 +231,8 @@ class LabelState:
     Only a tracked ledger appends points, and nothing of size dim^2 exists
     before the first one: the empty prefix's row is built on demand. The
     label's per-prefix caches are a lane of block, a PrefixBlock shared by
-    the learner's labels; a label built alone owns a block of one lane.
+    the learner's labels, which every label joins before the block fills a
+    prefix; a label built alone owns a block of one lane.
     """
 
     def __init__(self, label, dim, block=None):
@@ -263,6 +245,8 @@ class LabelState:
         # distinct point count, the binding one (later rounds only relax it)
         self._table, self.n_prefixes = np.zeros((0, 4)), 0
         self.block = PrefixBlock(dim) if block is None else block
+        if self.block.capacity:  # its arrays and filled hold no lane for a late label
+            raise ValueError("a label must join its block before any prefix is filled")
         self.lane = len(self.block.labels)
         self.block.labels.append(self)
         self._fit = (None,) * 4  # memo: (count, bound, weights, unnormalised risk)
@@ -362,7 +346,7 @@ class LabelState:
         """
         m, b, k = self.n_prefixes, self.block, self.lane
         b.fill()
-        _, inverses, fits, parts, *_ = b.rows(slice(k, k + 1), m)
+        _, inverses, fits, parts = b.rows(slice(k, k + 1), m)
         stack = b.stack[k, : m + 1] if b.capacity else np.zeros((1, *b.shapes["stack"]))
         return stack, inverses[0], fits[0], *parts[:2, 0], self._table[:m]
 

@@ -8,6 +8,7 @@ from coal.cost_range import (
     CERTIFICATE_SLACK,
     CHECK_EVERY,
     STEP_MARGIN,
+    Brackets,
     CostInterval,
     MwConfig,
     MwFeasible,
@@ -27,6 +28,7 @@ from coal.cost_range import (
     radius,
 )
 from coal.data import sparse_vector
+from coal.driver import LearnerState, observe_costs, process_example
 from coal.harness import ExperimentConfig, parse_synthetic_spec, run_experiment
 from coal.oracle import (
     RIDGE,
@@ -37,7 +39,7 @@ from coal.oracle import (
     fit_weighted,
     solve_bounded_least_squares,
 )
-from coal.synthetic import brute_force_cost_range
+from coal.synthetic import brute_force_cost_range, gen_stream, massart
 from test_acceptance import _ball_grid, _sandwich_instance
 
 X1 = sparse_vector([(0, 1.0)])
@@ -1080,3 +1082,47 @@ def test_round_kernel_lane_of_one_prefix_matches_alone():
         lo, hi, tol = cost_intervals(x, labels, 0.05, 20, 0.01, 3.0, 10.0, settings)
         want = one_label_interval(x, labels[0], 0.05, 20, 0.01, 3.0, 10.0, settings)
         assert (lo[0], hi[0]) == want[:2] and abs(tol[0] - want[2]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, n, noise, mellowness",
+    [(4, 80, "none", 0.01), (6, 80, "bernoulli", 1e-4)],  # d = 5 and 7 with the bias
+)
+def test_run_kernel_matches_a_fresh_block(monkeypatch, dim, n, noise, mellowness):
+    # An exact run fills its block a few prefixes at a time, round after
+    # round. The same appends replayed into a fresh block, which fills every
+    # prefix at once at the first read, give the same kernel bit for bit: no
+    # state kept across rounds reaches it. The Bernoulli stream at a small
+    # mellowness has anchors that break a budget. d stays below 8, where
+    # the gemv kernel rounds a row block unlike a lone row.
+    calls = []
+    for name in ("append_point", "append_ledger"):
+        method = getattr(LabelState, name)
+
+        def record(label, *args, method=method):
+            calls.append((label.lane, method, args))
+            return method(label, *args)
+
+        monkeypatch.setattr(LabelState, name, record)
+    k = 3
+    stream, _ = gen_stream(k, dim, massart(0.3), n, seed=dim, cost_noise=noise)
+    schedule = RadiusSchedule(n, dim + 1, k, 0.01, mode="mellow", mellowness=mellowness)
+    state = LearnerState(k, dim + 1, schedule)
+    for ex in stream:
+        observe_costs(state, ex.features, process_example(state, ex.features), ex.costs)
+    monkeypatch.undo()
+    block = PrefixBlock(dim + 1)
+    fresh = [LabelState(y, dim + 1, block) for y in range(1, k + 1)]
+    for lane, method, args in calls:
+        method(fresh[lane], *args)
+    probes, _ = gen_stream(k, dim, massart(0.3), 50, seed=dim + 100)
+    broken = 0
+    for ex in probes:
+        x = ex.features.to_dense(dim + 1)
+        run, replay = (Brackets(x, labels, state.norm_bound) for labels in (state.labels, fresh))
+        for name in ("c_lo", "c_hi", "witness", "side", "leverage"):
+            assert np.array_equal(getattr(run, name), getattr(replay, name)), name
+        assert all(map(np.array_equal, run.outer, replay.outer))
+        broken += int(run.broken.sum())
+    assert min(label.n_prefixes for label in fresh) >= 10
+    assert (broken > 0) == (noise == "bernoulli"), broken

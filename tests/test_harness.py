@@ -151,6 +151,7 @@ def test_config_needs_exactly_one_source(tmp_path):
         dict(seed_passive=-1),
         dict(hierarchy="tree.txt"),  # hierarchy without a dataset
         dict(norm_bound=1e160),  # finite, but its square is not
+        dict(synthetic_seed_base=0),  # the test stream would be drawn from seed -1
     ],
 )
 def test_config_validation(kwargs):

@@ -442,6 +442,21 @@ def test_stacked_solve_matches_each_lone_system_bit_for_bit():
     assert min(seen.values()) >= 20, seen
 
 
+def test_label_joining_a_filled_block_is_refused():
+    # the block's arrays and its filled list hold no lane for a late label,
+    # so every later cost range on the block would fail; LearnerState builds
+    # all its labels first
+    block = PrefixBlock(1)
+    first = LabelState(1, 1, block)
+    first.append_point(1, sparse_vector([(0, 1.0)]), 0.5)
+    first.append_ledger(2, 0.0, 0.1)
+    before = first.prefix_cache()
+    with pytest.raises(ValueError, match="before any prefix"):
+        LabelState(2, 1, block)
+    assert block.labels == [first]
+    assert all(np.array_equal(a, b) for a, b in zip(before, first.prefix_cache()))
+
+
 def test_refit_memo_matches_each_label_fitted_alone():
     # refit fills the erm_weights memo of many labels with one stacked solve:
     # the weights, and the unnormalised risk that risk_of_weights reads back,
