@@ -224,7 +224,8 @@ class MwInfeasible:
 class Brackets:
     """The round kernel: both searches' closed-form brackets for consecutive
     lanes of one PrefixBlock (coal.oracle), each quantity one numpy operation
-    over rows 1..max m_k of all lanes, with the rows past a lane's m_k masked
+    over rows 1..c of all lanes, c the largest point count of a lane's last
+    ledger prefix, with every row that is not a prefix of its lane masked
     out. Row 0 of the (2, L) c_lo, c_hi, side and witness is the search
     against t = 0, row 1 against t = 1; column k is block lane first_lane + k.
 
@@ -248,17 +249,17 @@ class Brackets:
     def __init__(self, x, labels, bound):
         block, L, d = labels[0].block, len(labels), x.size
         self.first_lane = labels[0].lane
-        lanes = slice(self.first_lane, self.first_lane + L)
-        counts = [label.n_prefixes for label in labels]
+        ends = np.array([label.last_prefix for label in labels])
         anchors = [label.anchor(bound) for label in labels]
         block.fill()
-        self.m = m = np.array(counts)
-        count = max(counts)
+        self.m = m = np.array([label.n_prefixes for label in labels])
+        count = int(ends.max())
         self.anchors = anchors = np.array(anchors)
-        stack, inverses, fits, parts = block.rows(lanes, count)
-        residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts
-        live = np.arange(1, count + 1) <= m[:, None]
-        single = [k for k, c in enumerate(counts) if c == 1] if count > 1 else []
+        rows = slice(self.first_lane, self.first_lane + L), slice(1, count + 1)
+        stack, inverses, fits, parts = (getattr(block, name)[rows] for name in block.shapes)
+        residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts.transpose(2, 0, 1)
+        live = (denoms > 0.0) & (np.arange(1, count + 1) <= ends[:, None])
+        single = [k for k, c in enumerate(ends) if c == 1] if count > 1 else []
         # one product per lane; within a lane the rows are contiguous, so no copy
         self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
         leverages = np.maximum(_row_dots(self.directions, x, single), 0.0)
@@ -276,8 +277,8 @@ class Brackets:
         self.outer = lo, hi
         self.c_lo = np.minimum(np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), 0.0) ** 2, 1.0)
         self.start = start = _dots(anchors, x)
-        up = self.directions[np.arange(L), m - 1] if count else np.tile(x, (L, 1))
-        if 0 in counts:
+        up = self.directions[np.arange(L), ends - 1] if count else np.tile(x, (L, 1))
+        if 0 in m:
             up[m == 0] = x
         v = np.concatenate((anchors, -np.ones((L, 1))), axis=1)
         dv = np.concatenate((up, np.zeros((L, 1))), axis=1)
@@ -333,12 +334,12 @@ class RangeProblem:
 
     Holds the game's m + 1 quadratic constraints as one stack of augmented
     rows (coal.oracle): row j flattens a (d+1)x(d+1) matrix A whose value at
-    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack views
-    the label's lane of its PrefixBlock: rows 1..m are the deduplicated
-    ledger prefixes' rows, row 0 the lane's scratch row, which each run
-    writes for its t. Its bracket and target-free parts are the label's lane
-    of a round kernel: lanes, the round's Brackets, when given, or else a
-    one-lane Brackets of its own.
+    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack is
+    gathered from the label's lane of its PrefixBlock: rows 1..m are the
+    deduplicated ledger prefixes' rows, row 0 a scratch row, which each run
+    writes for its t, so no game writes the history. Its bracket and
+    target-free parts are the label's lane of a round kernel: lanes, the
+    round's Brackets, when given, or else a one-lane Brackets of its own.
     """
 
     def __init__(self, x, state, bound, lanes=None):
@@ -347,13 +348,13 @@ class RangeProblem:
         self.stack, *_, table = state.prefix_cache()
         self.m = m = len(table)
         lanes = Brackets(x, [state], self.bound) if lanes is None else lanes
-        k = state.lane - lanes.first_lane
+        k, rows = state.lane - lanes.first_lane, table[:, 1].astype(np.intp) - 1
         self.anchor, self.start = lanes.anchors[k], float(lanes.start[k])
-        self.directions, self.leverage = lanes.directions[k, :m], float(lanes.leverage[k])
+        self.directions, self.leverage = lanes.directions[k, rows], float(lanes.leverage[k])
         self.outer = float(lanes.outer[0][k]), float(lanes.outer[1][k])
         self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
         self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
-        saturated, budgets = lanes.saturated[k, :m], lanes.budgets[k, :m]
+        saturated, budgets = lanes.saturated[k, rows], lanes.budgets[k, rows]
         self.budgets = np.where(saturated, budgets / self.denoms[1:], table[:, 2])
         c_lo, c_hi = lanes.c_lo[:, k].tolist(), lanes.c_hi[:, k].tolist()
         witnesses = [None if lanes.broken[k] else lanes.witness[t, k] for t in (0, 1)]

@@ -78,8 +78,8 @@ class LearnerState:
     and the round counter (1-based: round = processed examples + 1). The
     LabelStates keep history and ledger only under track_exact_ledger (exact
     mode's default), so an online run keeps O(K * dim) state; their
-    per-prefix caches are the lanes of one PrefixBlock, which allocates
-    nothing before a cost range reads a prefix, so that one kernel
+    histories and caches are the lanes of one PrefixBlock, which allocates
+    nothing before the first point is appended, so that one kernel
     (cost_intervals) brackets every label's searches per round. Each round
     reads policy afresh, so run_seed plays its warm-up rounds by switching it
     to passive.

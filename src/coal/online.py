@@ -38,6 +38,7 @@ import numpy as np
 ACCUM_FLOOR = 1e-12
 # delta * s stays finite up to this radius unless s > 1e208; an inf saturates u at 1 anyway
 CALM_RADIUS = 1e100
+CALM_RATE = 1e100  # so does s itself up to this learning rate; inf times a zero gap moves nothing
 _SIDES = np.array([[0.0], [1.0]])  # the cost each row of the (2, K) range arrays moves toward
 
 
@@ -157,12 +158,11 @@ def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
     p = np.minimum(np.maximum(raw, 0.0), 1.0)
     acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)
     scale = (val * val / np.sqrt(acc)).sum(axis=1)
-    gaps = np.abs(_SIDES - p)
-    sens = 2.0 * base_rate * np.abs(raw - _SIDES) * scale
-    calm = deltas <= CALM_RADIUS
-    if calm is True or np.all(calm):  # a float radius skips numpy's reduction
-        moves = _gap_moves(gaps, sens, deltas)
+    gaps, offsets = np.abs(_SIDES - p), np.abs(raw - _SIDES)
+    calm = deltas <= CALM_RADIUS  # a float radius skips numpy's reduction below
+    if base_rate <= CALM_RATE and (calm is True or np.all(calm)):
+        moves = _gap_moves(gaps, 2.0 * base_rate * offsets * scale, deltas)
     else:
-        with np.errstate(over="ignore", divide="ignore"):
-            moves = _gap_moves(gaps, sens, deltas)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            moves = _gap_moves(gaps, 2.0 * base_rate * offsets * scale, deltas)
     return np.maximum(p - moves[0], 0.0), np.minimum(p + moves[1], 1.0)

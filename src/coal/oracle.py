@@ -5,12 +5,12 @@ ledger of per-round risk budgets. The history is held as augmented rows: for
 each prefix of the queried points, the (d+1)x(d+1) sum of u u' with
 u = [x; cost], whose blocks [[G, h], [h', s]] are the Gram, the moment and
 the squared costs, and whose quadratic form at [w; -1] is the squared loss
-of w. Only LabelState builds these rows. A learner's labels share one
-PrefixBlock, whose lane per label caches, once per deduplicated ledger
-prefix, all that coal.cost_range reads of it (LabelState.prefix_cache views
-the label's lane). Each label memoises its last ERM fit, which the refit and
-the next round's cost ranges share; refit fills the memos of a round's
-queried labels with one stacked solve. Regressors are linear with an L2 norm
+of w. A learner's labels share one PrefixBlock: LabelState writes row c of
+its label's lane once, as the sum of the first c points, and the block
+caches at each deduplicated ledger prefix's row all that coal.cost_range
+reads of it. Each label memoises its last ERM fit, which the refit and the
+next round's cost ranges share; refit fills the memos of a round's queried
+labels with one stacked solve. Regressors are linear with an L2 norm
 bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
@@ -148,57 +148,55 @@ class LedgerEntry:
 
 
 class PrefixBlock:
-    """One learner's per-prefix caches: (K, capacity, ...) arrays, one lane per
-    label. Lane k holds label k's deduplicated ledger prefixes at rows
-    1..m_k, in ledger order; row 0 of its stack is the games' scratch row,
-    and later rows stay zero. fill() adds the prefixes that the ledgers
-    gained since the last fill, every lane's with one stacked solve: the
-    flattened augmented row, G_eps^-1 for G_eps = G + RIDGE I, the ridge fit
-    G_eps^-1 h, and the x-free parts s - h'fit, |fit|, round - 1,
+    """One learner's query histories and per-prefix caches: (K, capacity, ...)
+    arrays, one lane per label, whose row c belongs to the label's first c
+    points. The stack's row c is their flattened augmented row (row 0 is
+    zero). fill() caches every lane's new deduplicated ledger prefixes, with
+    one stacked solve, at their rows: G_eps^-1 for G_eps = G + RIDGE I, the
+    ridge fit G_eps^-1 h, and the x-free parts s - h'fit, |fit|, round - 1,
     budget * (round - 1) (inf past the float range), sqrt(trace G) and
-    sqrt(s). Nothing is allocated before the first prefix.
+    sqrt(s); other rows stay zero. Until an array grows, by doubling, its
+    one row 0 is zeros of stride 0, so nothing of size dim^2 is allocated.
     """
 
     def __init__(self, dim):
         d = self.dim = dim
-        self.labels, self.capacity = [], 0
-        self.filled = []  # per lane: prefixes filled
+        self.labels, self.filled = [], []  # per lane: prefixes filled
         self.shapes = {"stack": ((d + 1) ** 2,), "inverses": (d, d), "fits": (d,), "parts": (6,)}
 
-    def rows(self, lanes, count):
-        """Views of rows 1..count of a slice of lanes, in shapes' order; parts'
-        last axis leads."""
-        if self.capacity:
-            views = [getattr(self, name)[lanes, 1 : count + 1] for name in self.shapes]
-        else:  # count is 0: empty views, none of them kept
-            size = len(range(len(self.labels))[lanes])
-            views = [np.zeros((size, 0, *shape)) for shape in self.shapes.values()]
-        views[3] = views[3].transpose(2, 0, 1)
-        return views
+    def join(self, label):
+        """Add label and return its lane; refused once a point is appended,
+        since the grown arrays hold no lane for a late label."""
+        if any(other.n_points for other in self.labels):
+            raise ValueError("a label must join its block before any point is appended")
+        self.labels.append(label)
+        self.filled.append(0)
+        for name, shape in self.shapes.items():
+            setattr(self, name, np.broadcast_to(0.0, (len(self.labels), 1, *shape)))
+        return len(self.labels) - 1
+
+    def reserve(self, names, count):
+        """Room for count rows in each named array: short of it, 2 count - 1."""
+        for name in names:
+            held = getattr(self, name)
+            if count > held.shape[1]:
+                grown = np.zeros((len(self.labels), 2 * count - 1, *self.shapes[name]))
+                grown[:, : held.shape[1]] = held
+                setattr(self, name, grown)
 
     def fill(self):
-        need = max(label.n_prefixes for label in self.labels) + 1
-        if need == 1:
-            return
-        if need > self.capacity:  # allocate, or double
-            for name, shape in self.shapes.items():
-                grown = np.zeros((len(self.labels), 2 * need - 1, *shape))
-                grown[:, : self.capacity] = getattr(self, name) if self.capacity else 0.0
-                setattr(self, name, grown)
-            if not self.capacity:
-                self.filled = [0] * len(self.labels)
-            self.capacity = 2 * need - 1
         new = [
-            (k, j, label)
+            (k, label._table[j])
             for k, label in enumerate(self.labels)
             for j in range(self.filled[k] + 1, label.n_prefixes + 1)
         ]
         if not new:
             return
         n, d = len(new), self.dim
-        lanes, rows = [k for k, _, _ in new], [j for _, j, _ in new]
-        table = np.array([label._table[j - 1] for _, j, label in new])
-        aug = np.array([label.prefix_row(int(row[1])) for row, (*_, label) in zip(table, new)])
+        table = np.array([entry for _, entry in new])
+        lanes, rows = [k for k, _ in new], table[:, 1].astype(np.intp)
+        self.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
+        aug = self.stack[lanes, rows].reshape(n, d + 1, d + 1)
         eye = np.eye(d)
         rhs = np.empty((n, d, d + 1))
         rhs[:, :, :d], rhs[:, :, d] = eye, aug[:, :d, d]
@@ -206,7 +204,6 @@ class PrefixBlock:
         # regularised, not a pseudo-inverse: a probe off the span of a
         # prefix's points must read as unbounded leverage under that prefix
         solved = np.linalg.solve(aug[:, :d, :d] + RIDGE * eye, rhs)  # [G_eps^-1 | fit]
-        self.stack[lanes, rows] = aug.reshape(n, -1)
         self.inverses[lanes, rows] = solved[:, :, :d]
         self.fits[lanes, rows] = solved[:, :, d]
         fits = self.fits[lanes, rows]  # contiguous rows round their norms as one row does
@@ -224,15 +221,14 @@ class PrefixBlock:
 class LabelState:
     """Query history and risk ledger for a single label.
 
-    Keeps the queried points' rounds in order and the augmented row of each
-    prefix of those points (module docstring), so the empirical risk of any
-    weight vector on any prefix is a single quadratic form. The ledger holds
-    one entry per completed round from round 2 on; rounds strictly increase.
-    Only a tracked ledger appends points, and nothing of size dim^2 exists
-    before the first one: the empty prefix's row is built on demand. The
-    label's per-prefix caches are a lane of block, a PrefixBlock shared by
-    the learner's labels, which every label joins before the block fills a
-    prefix; a label built alone owns a block of one lane.
+    Keeps the queried points' rounds in order and, in its lane of block, the
+    augmented row of each prefix of those points (module docstring), so the
+    empirical risk of any weight vector on any prefix is a single quadratic
+    form. The ledger holds one entry per completed round from round 2 on;
+    rounds strictly increase. Only a tracked ledger appends points. block is
+    a PrefixBlock shared by the learner's labels, which every label joins
+    before any appends a point; a label built alone owns a block of one
+    lane.
     """
 
     def __init__(self, label, dim, block=None):
@@ -240,20 +236,22 @@ class LabelState:
         self.dim = dim
         self.rounds = []
         self.ledger = []
-        self._rows = []  # augmented rows of the first 1, 2, ... points
-        # (round, count, budget, radius) of the earliest ledger entry per
-        # distinct point count, the binding one (later rounds only relax it)
-        self._table, self.n_prefixes = np.zeros((0, 4)), 0
+        # row j: (round, count, budget, radius) of ledger prefix j, the
+        # earliest entry per distinct point count, the binding one (later
+        # rounds only relax it); row 0 is the empty prefix's zeros
+        self._table, self.n_prefixes = np.zeros((1, 4)), 0
         self.block = PrefixBlock(dim) if block is None else block
-        if self.block.capacity:  # its arrays and filled hold no lane for a late label
-            raise ValueError("a label must join its block before any prefix is filled")
-        self.lane = len(self.block.labels)
-        self.block.labels.append(self)
+        self.lane = self.block.join(self)
         self._fit = (None,) * 4  # memo: (count, bound, weights, unnormalised risk)
 
     @property
     def n_points(self):
         return len(self.rounds)
+
+    @property
+    def last_prefix(self):
+        """The point count of the largest ledger prefix, 0 without one."""
+        return int(self._table[self.n_prefixes, 1])
 
     def append_point(self, round_i, x, cost):
         if self.rounds and round_i <= self.rounds[-1]:
@@ -261,7 +259,9 @@ class LabelState:
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
         u = np.append(x.to_dense(self.dim), cost)
-        self._rows.append(self.prefix_row(self.n_points) + u[:, None] * u)
+        n = self.n_points
+        self.block.reserve(("stack",), n + 2)
+        np.add(self.prefix_row(n), u[:, None] * u, out=self.prefix_row(n + 1))
         self.rounds.append(round_i)
 
     def n_points_before(self, round_j):
@@ -269,10 +269,9 @@ class LabelState:
         return bisect.bisect_left(self.rounds, round_j)
 
     def prefix_row(self, count):
-        """The (dim+1)x(dim+1) augmented row of the first count points."""
-        if count == 0:
-            return np.zeros((self.dim + 1, self.dim + 1))
-        return self._rows[count - 1]
+        """The (dim+1)x(dim+1) augmented row of the first count points: a view
+        of row count of the label's lane of the block's stack."""
+        return self.block.stack[self.lane, count].reshape(self.dim + 1, self.dim + 1)
 
     def prefix_sums(self, count):
         """(Gram, moment, sum of squared costs): the blocks of prefix_row(count)."""
@@ -316,7 +315,7 @@ class LabelState:
     def anchor(self, bound):
         """The memoised ERM fit on the largest ledger prefix; zeros without one."""
         m = self.n_prefixes
-        return self.erm_weights(int(self._table[m - 1, 0]), bound) if m else np.zeros(self.dim)
+        return self.erm_weights(int(self._table[m, 0]), bound) if m else np.zeros(self.dim)
 
     def append_ledger(self, round_j, erm_risk, delta):
         if self.ledger and round_j <= self.ledger[-1].round:
@@ -327,32 +326,32 @@ class LabelState:
         self.ledger.append(entry)
         count = self.n_points_before(round_j)
         m = self.n_prefixes
-        if count > (self._table[m - 1, 1] if m else 0):
-            if m == len(self._table):  # double the capacity
-                self._table = np.resize(self._table, (2 * m + 1, 4))
-            self._table[m] = round_j, count, entry.delta_tilde, delta
+        if count > self.last_prefix:
+            if m + 1 == len(self._table):  # double the capacity
+                self._table = np.resize(self._table, (2 * m + 2, 4))
+            self._table[m + 1] = round_j, count, entry.delta_tilde, delta
             self.n_prefixes = m + 1
         return entry
 
     def prefix_cache(self):
-        """Per deduplicated prefix, in ledger order, views of the label's lane
-        of block (PrefixBlock): the flattened augmented rows (stack, whose
-        extra row 0 is scratch for the caller's own), G_eps^-1 for
-        G_eps = G + RIDGE I, the ridge fits G_eps^-1 h, s - h'fit, |fit| and
-        the (round, count, budget, radius) entries.
+        """Per deduplicated prefix, in ledger order, copies gathered from the
+        label's lane of block (PrefixBlock): the flattened augmented rows
+        behind a zero row 0 (scratch for the caller's own row), G_eps^-1 for
+        G_eps = G + RIDGE I, the ridge fits G_eps^-1 h, s - h'fit, |fit|, and
+        a view of the (round, count, budget, radius) entries.
 
         The block fills each prefix once, at the first read after the ledger
         added it, so a ledger that no cost range reads solves nothing.
         """
-        m, b, k = self.n_prefixes, self.block, self.lane
+        b, table = self.block, self._table[: self.n_prefixes + 1]
         b.fill()
-        _, inverses, fits, parts = b.rows(slice(k, k + 1), m)
-        stack = b.stack[k, : m + 1] if b.capacity else np.zeros((1, *b.shapes["stack"]))
-        return stack, inverses[0], fits[0], *parts[:2, 0], self._table[:m]
+        rows = table[:, 1].astype(np.intp)  # 0, then each prefix's count
+        stack, inverses, fits, parts = (getattr(b, name)[self.lane, rows] for name in b.shapes)
+        return stack, inverses[1:], fits[1:], parts[1:, 0], parts[1:, 1], table[1:]
 
     def constraint_view(self):
         """Deduplicated ledger constraints as (rounds, counts, budgets, radii), copied."""
-        table = self._table[: self.n_prefixes]
+        table = self._table[1 : self.n_prefixes + 1]
         rounds, counts = table[:, :2].T.astype(np.int64)
         return rounds, counts, table[:, 2].copy(), table[:, 3].copy()
 

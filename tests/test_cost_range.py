@@ -979,7 +979,7 @@ def test_round_kernel_lanes_match_the_one_label_path():
     # before the kernel: lo and hi bit for bit, tol to 1e-12. Every search
     # the kernel settles reads the same outer range; an open search plays
     # the same games from a bracket whose witness is the same regressor up
-    # to rounding (the kernel carries its anchor-only parts).
+    # to rounding.
     rng = np.random.default_rng(17)
     seen = {"m=0": 0, "m=1": 0, "closed": 0, "open": 0, "broken": 0, "padded": 0, "singular": 0}
     seen["open, with a witness"] = seen["raises"] = 0
@@ -1022,15 +1022,15 @@ def test_round_kernel_lanes_match_the_one_label_path():
             seen["padded"] += problem.m < max(counts)
             grams = problem.stack[1:].reshape(-1, d + 1, d + 1)[:, :d, :d]
             seen["singular"] += any(np.linalg.matrix_rank(g) < d for g in grams)
-        # padded rows decide nothing: whatever they hold, the intervals stay
-        # (the noise has its own generator, so the trials do not depend on
-        # the block's layout)
+        # padded rows decide nothing: whatever they hold past a lane's
+        # points, the intervals stay (the noise has its own generator, so the
+        # trials do not depend on the block's layout)
         block, noise = labels[0].block, np.random.default_rng(trial)
-        if block.capacity and trial % 3 == 0:
+        if any(label.n_points for label in labels) and trial % 3 == 0:
             for name in block.shapes:
                 rows = getattr(block, name)
-                for lane, count in enumerate(counts):
-                    padded = rows[lane, count + 1 :]
+                for lane, label in enumerate(labels):
+                    padded = rows[lane, label.n_points + 1 :]
                     padded[...] = noise.uniform(-1e3, 1e3, padded.shape)
             again = cost_intervals(x, labels, *args, bound, settings)
             assert all(np.array_equal(a, b) for a, b in zip((lo, hi, tols), again)), trial
@@ -1126,3 +1126,41 @@ def test_run_kernel_matches_a_fresh_block(monkeypatch, dim, n, noise, mellowness
         broken += int(run.broken.sum())
     assert min(label.n_prefixes for label in fresh) >= 10
     assert (broken > 0) == (noise == "bernoulli"), broken
+
+
+def test_history_is_held_once_and_no_game_writes_it(monkeypatch):
+    # The block's stack is the one store of the query history: after an
+    # exact run every prefix row of every label is a view of it. On Bernoulli
+    # costs at a tight radius the searches play games, each on a stack it
+    # gathers for itself, so after them row 0 of every lane is still zero,
+    # every other row is unchanged, and a fresh kernel is the one built
+    # before them, bit for bit.
+    k, dim, n = 3, 4, 80
+    stream, _ = gen_stream(k, dim, massart(0.3), n, seed=7, cost_noise="bernoulli")
+    schedule = RadiusSchedule(n, dim + 1, k, 0.01, mode="mellow", mellowness=1e-4)
+    state = LearnerState(k, dim + 1, schedule)
+    for ex in stream:
+        observe_costs(state, ex.features, process_example(state, ex.features), ex.costs)
+    labels, block = state.labels, state.labels[0].block
+    history = [[label.prefix_row(c) for c in range(label.n_points + 1)] for label in labels]
+    assert all(np.shares_memory(row, block.stack) for rows in history for row in rows)
+    before = [[row.copy() for row in rows] for rows in history]
+    games, run = [], RangeProblem.run
+
+    def counted(*args, **kwargs):
+        games.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(RangeProblem, "run", counted)
+    probes, _ = gen_stream(k, dim, massart(0.3), 5, seed=107)
+    for ex in probes:
+        x = ex.features.to_dense(dim + 1)
+        kernel = Brackets(x, labels, state.norm_bound)
+        process_example(state, ex.features)
+        again = vars(Brackets(x, labels, state.norm_bound))
+        for name, value in vars(kernel).items():
+            assert np.array_equal(np.asarray(value), np.asarray(again[name])), name
+    assert len(games) >= 20
+    assert not block.stack[:, 0].any()
+    for label, rows in zip(labels, before):
+        assert all(np.array_equal(label.prefix_row(c), row) for c, row in enumerate(rows))

@@ -320,6 +320,19 @@ def test_tracked_ledger_leaves_online_weights_alone():
     assert np.array_equal(tables[0], tables[1])
 
 
+def test_online_run_allocates_no_block_array():
+    # without a tracked ledger no point is appended, so every array of the
+    # labels' prefix block is still the zeros of stride 0 it joined with
+    stream, _ = gen_stream(3, 3, massart(0.3), 30, seed=5)
+    state = fresh_state(k=3, dim=4, mode="online")
+    for ex in stream:
+        observe_costs(state, ex.features, process_example(state, ex.features), ex.costs)
+    block = state.labels[0].block
+    assert state.log.l2 > 0 and block.labels == state.labels
+    for name in block.shapes:
+        assert not any(getattr(block, name).strides), name
+
+
 def test_exact_weights_are_the_refit_erms():
     stream, _ = gen_stream(3, 3, massart(0.3), 6, seed=4)
     state = fresh_state(k=3, dim=4, policy="passive")

@@ -641,13 +641,16 @@ def test_cli_rejects_a_norm_bound_whose_square_overflows():
     ]
     + [(mode, ("--mellowness", "1e300")) for mode in ("exact", "online")]
     + [("exact", ("--mellowness", "1e308"))]
-    + [("exact", ("--radius", "theory", "--kappa", "1e308"))],
+    + [("exact", ("--radius", "theory", "--kappa", "1e308"))]
+    + [("online", ("--learning-rate", r)) for r in ("1e303", "1e308", repr(sys.float_info.max))],
 )
 def test_cli_runs_extreme_settings_without_a_runtime_warning(mode, setting):
     # in exact mode each used to exit 0 with overflow warnings from the
     # bracket, or, past a norm bound of 1e154, to exit 1; an infinite mellow
     # radius (1e308) made NaN game weights and exited 1, and a budget whose
-    # product with its round overflowed warned
+    # product with its round overflowed warned. In online mode a learning
+    # rate past 1e300 overflowed the sensitivities, whose inf times a zero
+    # gap made NaN, and exited 1
     proc = run_cli_warnings_as_errors("--mode", mode, *setting)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "" and "auc median" in proc.stdout

@@ -445,13 +445,17 @@ def test_stacked_solve_matches_each_lone_system_bit_for_bit():
 def test_label_joining_a_filled_block_is_refused():
     # the block's arrays and its filled list hold no lane for a late label,
     # so every later cost range on the block would fail; LearnerState builds
-    # all its labels first
+    # all its labels first. The history is in the block from the first point,
+    # before any prefix.
     block = PrefixBlock(1)
     first = LabelState(1, 1, block)
     first.append_point(1, sparse_vector([(0, 1.0)]), 0.5)
+    with pytest.raises(ValueError, match="before any point"):
+        LabelState(2, 1, block)
+    assert block.labels == [first] and first.n_prefixes == 0
     first.append_ledger(2, 0.0, 0.1)
     before = first.prefix_cache()
-    with pytest.raises(ValueError, match="before any prefix"):
+    with pytest.raises(ValueError, match="before any point"):
         LabelState(2, 1, block)
     assert block.labels == [first]
     assert all(np.array_equal(a, b) for a, b in zip(before, first.prefix_cache()))
