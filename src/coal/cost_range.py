@@ -523,8 +523,10 @@ def cost_intervals(x, labels, tol, round_i, delta_i, rho, bound, settings):
     labels are consecutive lanes of one PrefixBlock. The round kernel
     (Brackets) brackets every search; only a search its bracket leaves open
     builds its label's RangeProblem and bisects with games (_bisect_cost).
-    _estimates turns every search's final bracket into its end and tol. The
-    intervals pass CostInterval's checks, or raise its ValueError.
+    _estimates turns every search's final bracket into its end and tol. A
+    label whose ends cross beyond 2 tol, where no regressor meets every
+    budget (an empty version space), gets [0, 1] and keeps its tol: nothing
+    is known of its cost, so it stays a query candidate.
     """
     dense = x.to_dense(labels[0].dim)
     lanes = Brackets(dense, labels, bound)
@@ -541,9 +543,6 @@ def cost_intervals(x, labels, tol, round_i, delta_i, rho, bound, settings):
         c_lo[target, k], c_hi[target, k], side[target, k] = search[:3]
     ends, tols = _estimates(_TARGETS, c_lo, c_hi, side, slack, lanes.leverage, dense, bound)
     lo, hi, tol = ends[0], ends[1], np.maximum(tols[0], tols[1])
-    # the ends are clamped to [0, 1] and the tols nonnegative, or NaN, which fails here too
-    valid = lo <= hi + 2.0 * tol + 1e-9
-    if not valid.all():
-        for k in np.flatnonzero(~valid):  # raises CostInterval's ValueError
-            CostInterval(lo=float(lo[k]), hi=float(hi[k]), tol=float(tol[k]))
+    empty = lo > hi + 2.0 * tol + 1e-9
+    lo[empty], hi[empty] = 0.0, 1.0
     return lo, hi, tol

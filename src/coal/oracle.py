@@ -8,9 +8,10 @@ the squared costs, and whose quadratic form at [w; -1] is the squared loss
 of w. A learner's labels share one PrefixBlock: LabelState writes row c of
 its label's lane once, as the sum of the first c points, and the block
 caches at each deduplicated ledger prefix's row all that coal.cost_range
-reads of it. Each label memoises its last ERM fit, which the refit and the
-next round's cost ranges share; refit fills the memos of a round's queried
-labels with one stacked solve. Regressors are linear with an L2 norm
+reads of it. Each label memoises its last ERM fit, which the ledger and the
+next round's cost ranges read. refit alone solves these fits: it fills the
+memos of a round's queried labels with one stacked solve, and erm_weights
+calls it for one label on a miss. Regressors are linear with an L2 norm
 bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
@@ -76,24 +77,15 @@ def solve_bounded_least_squares(gram, moment, bound):
     Eigenvalues of G + G' at or below d eps lam_max, and b's parts on them below
     RANGE_RTOL ||b||, count as 0. The minimum-norm solution is the answer when b
     has no other part there and it lies in the ball. G and b are not written.
-    A stack of systems, (n, d, d) and (n, d), shares one eigh call.
+    A stack of systems, (n, d, d) and (n, d), shares one eigh call; each is
+    then solved as it would be alone.
     """
-    d = gram.shape[-1]
-    if d == 0 or bound == 0:
+    if gram.shape[-1] == 0 or bound == 0:
         return np.zeros(np.shape(moment))
     lams, qs = np.linalg.eigh(gram + gram.swapaxes(-1, -2))
     if gram.ndim == 2:
         return _min_norm(lams, qs, moment, bound)
-    # the stack's interior solutions at once, with _min_norm's products (each a
-    # dot or a matrix-vector product of one system); the rest one by one
-    betas = ((moment + moment)[:, None, :] @ qs)[:, 0]
-    w = np.divide(betas, lams, out=np.zeros(betas.shape), where=lams > 0.0)
-    inside = (lams[:, 0] > d * math.ulp(1.0) * lams[:, -1]) & (lams[:, 0] > 0.0)
-    inside &= (w[:, None, :] @ w[:, :, None])[:, 0, 0] <= bound * bound
-    fits = (qs @ w[:, :, None])[:, :, 0]
-    for i in np.flatnonzero(~inside):
-        fits[i] = _min_norm(lams[i], qs[i], moment[i], bound)
-    return fits
+    return np.array([_min_norm(*system, bound) for system in zip(lams, qs, moment)])
 
 
 def _min_norm(lam, q, moment, bound):
@@ -242,7 +234,7 @@ class LabelState:
         self._table, self.n_prefixes = np.zeros((1, 4)), 0
         self.block = PrefixBlock(dim) if block is None else block
         self.lane = self.block.join(self)
-        self._fit = (None,) * 4  # memo: (count, bound, weights, unnormalised risk)
+        self._fit = (None,) * 3  # memo: (count, bound, weights), written by refit alone
 
     @property
     def n_points(self):
@@ -283,34 +275,24 @@ class LabelState:
 
         The row's quadratic form at [w; -1], normalized by (round_j - 1)
         however many of those rounds queried this label; rounds 0 and 1 have
-        zero risk by convention.
+        zero risk by convention. It solves nothing (refit alone solves fits)
+        and keeps nothing: the memoised ERM's risk is this same form.
         """
         k = self.n_points_before(round_j)
         if round_j <= 1 or k == 0:
             return 0.0
-        if weights is self._fit[2] and k == self._fit[0]:  # the memoised fit
-            return self._fit[3] / (round_j - 1)
         v = np.append(weights, -1.0)
         return max(float(v @ self.prefix_row(k) @ v), 0.0) / (round_j - 1)
 
     def erm_weights(self, round_j, bound):
         """Bounded least-squares weights for the prefix before round_j.
 
-        Memoised, read-only, for the last prefix and bound, together with the
-        fit's unnormalised risk, which risk_of_weights of these weights reads.
-        refit fills the memo of many labels with one stacked solve.
+        Memoised, read-only, for the last prefix and bound. refit alone solves
+        fits: on a miss this label is refit alone.
         """
-        count = self.n_points_before(round_j)
-        if self._fit[:2] != (count, bound):
-            g, h, _ = self.prefix_sums(count)
-            self._remember(count, bound, solve_bounded_least_squares(g, h, bound))
+        if self._fit[:2] != (self.n_points_before(round_j), bound):
+            refit([self], round_j, bound)
         return self._fit[2]
-
-    def _remember(self, count, bound, weights):
-        """Memoise weights, read-only, as the fit on the first count points."""
-        weights.flags.writeable = False
-        v = np.append(weights, -1.0)
-        self._fit = (count, bound, weights, max(float(v @ self.prefix_row(count) @ v), 0.0))
 
     def anchor(self, bound):
         """The memoised ERM fit on the largest ledger prefix; zeros without one."""
@@ -358,12 +340,14 @@ class LabelState:
 
 def refit(labels, round_j, bound):
     """Fill the erm_weights memo of every label whose fit for round_j is stale,
-    with one stacked solve: after a round, those of the labels it queried."""
+    with one stacked solve: after a round, those of the labels it queried.
+    The only code that solves a label's ERM fit or writes its memo."""
     stale = [(label, label.n_points_before(round_j)) for label in labels]
     stale = [(label, count) for label, count in stale if label._fit[:2] != (count, bound)]
     if stale:
         d = labels[0].dim
         rows = np.array([label.prefix_row(count) for label, count in stale])
         fits = solve_bounded_least_squares(rows[:, :d, :d], rows[:, :d, d], bound)
+        fits.flags.writeable = False  # each memo is a read-only row of it
         for (label, count), weights in zip(stale, fits):
-            label._remember(count, bound, weights)
+            label._fit = (count, bound, weights)

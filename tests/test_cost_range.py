@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -982,7 +981,7 @@ def test_round_kernel_lanes_match_the_one_label_path():
     # to rounding.
     rng = np.random.default_rng(17)
     seen = {"m=0": 0, "m=1": 0, "closed": 0, "open": 0, "broken": 0, "padded": 0, "singular": 0}
-    seen["open, with a witness"] = seen["raises"] = 0
+    seen["open, with a witness"] = seen["empty"] = 0
     settings = MwSettings(t_max=300)
     for trial in range(240):
         d, k = trial % 6 + 1, int(rng.integers(2, 5))
@@ -1002,13 +1001,12 @@ def test_round_kernel_lanes_match_the_one_label_path():
                 wants.append(one_label_interval(x, label, *args, bound, settings))
             except ValueError as error:  # an empty version space: lo past hi
                 wants.append(error)
-        errors = [str(want) for want in wants if isinstance(want, ValueError)]
-        if errors:  # the first such lane's, the same ValueError
-            with pytest.raises(ValueError, match=f"^{re.escape(errors[0])}$"):
-                cost_intervals(x, labels, *args, bound, settings)
-            seen["raises"] += 1
-            continue
         lo, hi, tols = cost_intervals(x, labels, *args, bound, settings)
+        empty = np.array([isinstance(want, ValueError) for want in wants])
+        if empty.any():  # nothing is known of such a lane's cost: [0, 1]
+            assert (lo[empty] == 0.0).all() and (hi[empty] == 1.0).all()
+            seen["empty"] += 1
+            continue
         counts = [label.n_prefixes for label in labels]
         for label, got, (*want, problem) in zip(labels, zip(lo, hi, tols), wants):
             width = [problem.bracket(t) for t in (0, 1)]
@@ -1034,15 +1032,16 @@ def test_round_kernel_lanes_match_the_one_label_path():
                     padded[...] = noise.uniform(-1e3, 1e3, padded.shape)
             again = cost_intervals(x, labels, *args, bound, settings)
             assert all(np.array_equal(a, b) for a, b in zip((lo, hi, tols), again)), trial
-    seen.pop("raises")  # rare in these ledgers; the next test makes one for sure
+    seen.pop("empty")  # rare in these ledgers; the next test makes one for sure
     assert min(seen.values()) >= 20, seen
 
 
-def test_round_kernel_raises_the_one_label_error_on_an_empty_version_space():
+def test_round_kernel_widens_an_empty_version_space_to_the_unit_interval():
     # label 2's first budget pins w within 0.01 of 0 and its second within
     # about 0.01 of 0.5: no regressor meets both, the games certify both
-    # searches past each other, and the kernel raises what the label alone
-    # raised, beside a label whose range is fine
+    # searches past each other, and the label alone raises CostInterval's
+    # error. The kernel gives it [0, 1], since nothing is known of its cost,
+    # and leaves the interval of a label whose range is fine as it is alone.
     block = PrefixBlock(1)
     fine, empty = LabelState(1, 1, block), LabelState(2, 1, block)
     for label in (fine, empty):
@@ -1051,13 +1050,13 @@ def test_round_kernel_raises_the_one_label_error_on_an_empty_version_space():
     empty.append_point(2, X1, 1.0)
     empty.append_ledger(3, empty.risk_of_weights(empty.erm_weights(3, 10.0), 3), 1e-4)
     args = (0.05, 4, 0.01, 0.1, 10.0, MwSettings(t_max=300))
-    lo, hi, _, _ = one_label_interval(X1, fine, *args)
+    lo, hi, tol, _ = one_label_interval(X1, fine, *args)
     assert lo == 0.0 and hi == pytest.approx(0.01)
-    with pytest.raises(ValueError) as alone:
+    with pytest.raises(ValueError, match="^lo 0.99"):
         one_label_interval(X1, empty, *args)
-    assert str(alone.value).startswith("lo 0.99")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-        cost_intervals(X1, [fine, empty], *args)
+    los, his, tols = cost_intervals(X1, [fine, empty], *args)
+    assert (los[0], his[0]) == (lo, hi) and abs(tols[0] - tol) <= 1e-12
+    assert (los[1], his[1]) == (0.0, 1.0) and math.isfinite(tols[1]) and tols[1] >= 0.0
 
 
 def test_round_kernel_lane_of_one_prefix_matches_alone():

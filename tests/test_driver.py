@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coal.cost_range import CostInterval, MwSettings, RadiusSchedule
+from coal.cost_range import CostInterval, MwSettings, RadiusSchedule, radius
 from coal.data import full_costs, partial_costs, sparse_vector
 from coal.driver import (
     ContractError,
@@ -343,6 +343,26 @@ def test_exact_weights_are_the_refit_erms():
             erm = label_state.erm_weights(state.round, state.norm_bound)
             assert np.array_equal(state.weights[y], erm)
     assert state.weights.any()
+
+
+@pytest.mark.parametrize(
+    "mode, cost_noise", [("exact", "bernoulli"), ("exact", "none"), ("online", "bernoulli")]
+)
+def test_each_ledger_entry_holds_its_own_rounds_refit_risk(mode, cost_noise):
+    # the budget a round appends is the risk of that round's refit ERM, to
+    # the bit, plus the next radius: for queried labels, whose fit the round
+    # solves, and for the others, whose memoised fit it reads again
+    stream, _ = gen_stream(3, 3, massart(0.3), 60, seed=2, cost_noise=cost_noise)
+    schedule = mellow_schedule(n=60, d=4, k=3, mellowness=1e-4)
+    state = LearnerState(3, 4, schedule, mode=mode, track_exact_ledger=True)
+    bound = state.norm_bound
+    for ex in stream:
+        observe_costs(state, ex.features, process_example(state, ex.features), ex.costs)
+        for label in state.labels:
+            risk = label.risk_of_weights(label.erm_weights(state.round, bound), state.round)
+            assert label.ledger[-1].round == state.round
+            assert label.ledger[-1].delta_tilde == risk + radius(state.round, schedule)
+    assert 0 < state.log.l2 < 3 * 60
 
 
 def test_query_flow_over_stream_invariants():
