@@ -259,10 +259,9 @@ class Brackets:
         stack, inverses, fits, parts = (getattr(block, name)[rows] for name in block.shapes)
         residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts.transpose(2, 0, 1)
         live = (denoms > 0.0) & (np.arange(1, count + 1) <= ends[:, None])
-        single = [k for k, c in enumerate(ends) if c == 1] if count > 1 else []
         # one product per lane; within a lane the rows are contiguous, so no copy
         self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
-        leverages = np.maximum(_row_dots(self.directions, x, single), 0.0)
+        leverages = np.maximum(self.directions @ x, 0.0)
         self.leverage = np.minimum.reduce(denoms * leverages, 1, where=live, initial=np.inf)
         self.saturated = budgets == np.inf
         reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
@@ -270,7 +269,7 @@ class Brackets:
         rho = np.maximum(budgets + RIDGE * (bound + fit_norms) ** 2 - residuals, 0.0)
         # square roots taken factor by factor, and hypot below, keep every
         # product within the float range
-        centres, half = _row_dots(fits, x, single), np.sqrt(rho) * np.sqrt(leverages)
+        centres, half = fits @ x, np.sqrt(rho) * np.sqrt(leverages)
         reach = bound * math.sqrt(float(x @ x))
         lo = np.maximum.reduce(centres - half, 1, where=live, initial=-reach)
         hi = np.minimum.reduce(centres + half, 1, where=live, initial=reach)
@@ -320,15 +319,6 @@ def _dots(u, v):
     return (u[:, None, :] @ v[..., None])[:, 0, 0]
 
 
-def _row_dots(rows, x, single):
-    """rows @ x; a lane that holds one prefix (in single) takes the one-row
-    product, a dot, which rounds unlike the matrix-vector kernel."""
-    dots = rows @ x
-    for k in single:
-        dots[k, 0] = rows[k, 0] @ x
-    return dots
-
-
 class RangeProblem:
     """One (point, label-state) feasibility instance, reusable across guesses.
 
@@ -346,12 +336,10 @@ class RangeProblem:
         self.x = x = x.to_dense(state.dim)
         self.bound = float(bound)
         self.stack, *_, table = state.prefix_cache()
-        self.m = m = len(table)
+        self.m = len(table)
         lanes = Brackets(x, [state], self.bound) if lanes is None else lanes
         k, rows = state.lane - lanes.first_lane, table[:, 1].astype(np.intp) - 1
-        self.anchor, self.start = lanes.anchors[k], float(lanes.start[k])
-        self.directions, self.leverage = lanes.directions[k, rows], float(lanes.leverage[k])
-        self.outer = float(lanes.outer[0][k]), float(lanes.outer[1][k])
+        self.start, self.leverage = float(lanes.start[k]), float(lanes.leverage[k])
         self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
         self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
         saturated, budgets = lanes.saturated[k, rows], lanes.budgets[k, rows]

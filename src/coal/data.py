@@ -209,8 +209,9 @@ def examples_from_arrays(idx, val, ends, costs, observed):
     ]
 
 
-def _float_repr(x):
-    # repr gives the shortest round-trip form; keep integral floats compact
+def float_repr(x):
+    """The shortest text that parses back to float(x): the form of every
+    float this package writes, in streams and in CSVs."""
     return repr(float(x))
 
 
@@ -283,8 +284,8 @@ def parse_example(line, k, lineno=None):
 def serialize_example(example):
     """Canonical text form of an example; inverse of parse_example."""
     cv = example.costs
-    labels = " ".join(f"{y}:{_float_repr(cv.costs[y - 1])}" for y in cv.observed_labels())
-    feats = " ".join(f"{i}:{_float_repr(v)}" for i, v in example.features.pairs())
+    labels = " ".join(f"{y}:{float_repr(cv.costs[y - 1])}" for y in cv.observed_labels())
+    feats = " ".join(f"{i}:{float_repr(v)}" for i, v in example.features.pairs())
     return f"{labels} | {feats}".rstrip() if feats else f"{labels} |"
 
 

@@ -26,6 +26,7 @@ from .cost_range import DEFAULT_KAPPA, DEFAULT_NORM_BOUND, RadiusSchedule
 from .data import (
     DataError,
     content_lines,
+    float_repr,
     parse_example,
     parse_hierarchy,
     prechecked,
@@ -425,10 +426,6 @@ def _curve_auc(points):
     return auc(pairs)
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def run_experiment(cfg):
     """Run every seed, write the curve and summary CSVs, return the table."""
     trains, test, k, dim = _load_streams(cfg)
@@ -453,22 +450,22 @@ def run_experiment(cfg):
     curve_path = summary_path = None
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        tag = f"{cfg.policy}_mel{_fmt(cfg.mellowness)}"
+        tag = f"{cfg.policy}_mel{float_repr(cfg.mellowness)}"
         curve_path = os.path.join(cfg.out_dir, f"curve_{tag}.csv")
         with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seed,checkpoint_q,queries,examples_touched,test_cost\n")
             for seed, p in rows:
                 fh.write(
                     f"{seed},{p.checkpoint_q},{p.queries},{p.examples_touched},"
-                    f"{_fmt(p.test_cost)}\n"
+                    f"{float_repr(p.test_cost)}\n"
                 )
         summary_path = os.path.join(cfg.out_dir, f"summary_{tag}.csv")
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("policy,mellowness,seeds,auc_median,auc_q15,auc_q85\n")
             fh.write(
-                f"{cfg.policy},{_fmt(cfg.mellowness)},{cfg.seeds},"
-                f"{_fmt(summary['auc_median'])},{_fmt(summary['auc_q15'])},"
-                f"{_fmt(summary['auc_q85'])}\n"
+                f"{cfg.policy},{float_repr(cfg.mellowness)},{cfg.seeds},"
+                f"{float_repr(summary['auc_median'])},{float_repr(summary['auc_q15'])},"
+                f"{float_repr(summary['auc_q85'])}\n"
             )
 
     return ResultTable(
