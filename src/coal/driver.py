@@ -26,7 +26,7 @@ from .cost_range import (
     cost_intervals,
     radius,
 )
-from .data import QueryLog
+from .data import QueryLog, SparseVector
 from .oracle import LabelState, LinearRegressor, PrefixBlock, refit
 from .online import OnlineRegressor, batch_cost_ranges, online_update
 
@@ -73,9 +73,9 @@ class LearnerState:
     Holds one LabelState per label, the (K, dim) weight table that predicts
     every label's cost in both modes (exact mode stores each label's refit ERM
     in its row, online mode updates the rows in place), the online step-size
-    accumulators (None in exact mode), one OnlineRegressor per label viewing
-    its rows of both tables (built once; none in exact mode), the query log,
-    and the round counter (1-based: round = processed examples + 1). The
+    accumulators (None in exact mode), online mode's one OnlineRegressor over
+    both tables, a row per label (built once; None in exact mode), the query
+    log, and the round counter (1-based: round = processed examples + 1). The
     LabelStates keep history and ledger only under track_exact_ledger (exact
     mode's default), so an online run keeps O(K * dim) state; their
     histories and caches are the lanes of one PrefixBlock, which allocates
@@ -117,14 +117,21 @@ class LearnerState:
         block = PrefixBlock(dim)
         self.labels = [LabelState(y, dim, block) for y in range(1, k + 1)]
         self.weights = np.zeros((k, dim))
-        self.accumulators = np.zeros((k, dim)) if mode == "online" else None
-        rows = zip(self.weights, self.accumulators) if mode == "online" else ()
-        self.regressors = [OnlineRegressor(*row, base_rate) for row in rows]
+        self.accumulators = self.regressor = None
+        if mode == "online":
+            self.accumulators = np.zeros((k, dim))
+            self.regressor = OnlineRegressor(self.weights, self.accumulators, base_rate)
         self.log = QueryLog(k)
 
     def predicted_costs(self, x):
-        """Current clamped cost predictions, one per label."""
-        return np.minimum(np.maximum(self.weights[:, x.indices] @ x.values, 0.0), 1.0)
+        """Current clamped cost predictions, one per label; a list of vectors gets a row
+        each, from weights gathered at the concatenated features: no (n, dim) array."""
+        split = [x] if isinstance(x, SparseVector) else x
+        idx, val = map(np.concatenate, zip(*[(v.indices, v.values) for v in split]))
+        owner = np.repeat(np.arange(len(split)), [v.indices.size for v in split])
+        raw = np.column_stack([np.bincount(owner, w[idx] * val, len(split)) for w in self.weights])
+        costs = np.minimum(np.maximum(raw, 0.0), 1.0)
+        return costs[0] if isinstance(x, SparseVector) else costs
 
 
 def _decide(policy, los, his, threshold):
@@ -182,17 +189,16 @@ def process_example(state, x):
 def observe_costs(state, x, decision, costs):
     """Fold queried costs into the state and close the round.
 
-    Updates the online regressors (online mode) and records the query log;
-    when the ledger is tracked, appends the query history, refits each
-    label's ERM for the risk ledger and, in exact mode, stores it as that
-    label's predictor. Advances the round counter. Raises ContractError,
-    before changing anything, if the decision is stale, queries a label twice
-    or outside 1..K, or queries a cost that is unobserved.
+    Updates the queried rows of the online tables in one call (online mode)
+    and records the query log; when the ledger is tracked, appends the query
+    history, refits each label's ERM for the risk ledger and, in exact mode,
+    stores it as that label's predictor. Advances the round counter. Raises
+    ContractError, before changing anything, if the decision is stale,
+    queries a label twice or outside 1..K, or queries a cost that is
+    unobserved.
     """
     if decision.round != state.round:
-        raise ContractError(
-            f"decision from round {decision.round} applied at round {state.round}"
-        )
+        raise ContractError(f"decision from round {decision.round} applied at round {state.round}")
     queried = decision.to_query
     if len(set(queried)) != len(queried) or not all(1 <= y <= state.k for y in queried):
         raise ContractError(f"queried labels {queried} are not distinct labels in 1..{state.k}")
@@ -201,15 +207,14 @@ def observe_costs(state, x, decision, costs):
             raise ContractError(f"label {y} was queried but its cost is unobserved")
 
     i = state.round
-    for y in decision.to_query:
-        c = costs.cost_of(y)
-        if state.track_exact_ledger:
-            state.labels[y - 1].append_point(i, x, c)
-        if state.mode == "online":
-            online_update(state.regressors[y - 1], x, c, 1.0)
-    state.log.record(decision.to_query)
+    if state.mode == "online" and queried:
+        rows = np.array(queried) - 1
+        online_update(state.regressor, x, costs.costs[rows], 1.0, rows)
+    state.log.record(queried)
 
     if state.track_exact_ledger:
+        for y in queried:
+            state.labels[y - 1].append_point(i, x, costs.cost_of(y))
         delta_next = radius(i + 1, state.schedule)
         refit(state.labels, i + 1, state.norm_bound)
         for idx, label_state in enumerate(state.labels):
@@ -226,5 +231,5 @@ def observe_costs(state, x, decision, costs):
 
 
 def predict_label(state, x):
-    """Label with the smallest predicted cost; ties go to the smallest label."""
-    return int(np.argmin(state.predicted_costs(x))) + 1
+    """Label with the smallest predicted cost, ties to the smallest; one per vector of a list."""
+    return np.argmin(state.predicted_costs(x), axis=-1) + 1

@@ -301,9 +301,10 @@ def write_stream(path, examples):
 
 def evaluate_test_cost(state, test_examples):
     """Mean observed cost of the learner's predicted labels on a test set."""
+    labels = predict_label(state, [ex.features for ex in test_examples])
     total = 0.0
-    for ex in test_examples:
-        total += ex.costs.cost_of(predict_label(state, ex.features))
+    for ex, y in zip(test_examples, labels.tolist()):
+        total += ex.costs.cost_of(y)
     return total / len(test_examples)
 
 

@@ -44,7 +44,7 @@ _SIDES = np.array([[0.0], [1.0]])  # the cost each row of the (2, K) range array
 
 @dataclass
 class OnlineRegressor:
-    """Linear predictor with per-feature squared-gradient accumulators."""
+    """Linear predictors with per-feature squared-gradient accumulators: 1-d, or one per row."""
 
     weights: np.ndarray
     accumulators: np.ndarray
@@ -53,41 +53,46 @@ class OnlineRegressor:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.accumulators = np.asarray(self.accumulators, dtype=np.float64)
-        if self.weights.shape != self.accumulators.shape or self.weights.ndim != 1:
-            raise ValueError("weights and accumulators must be 1-d arrays of equal length")
+        if self.weights.shape != self.accumulators.shape or self.weights.ndim not in (1, 2):
+            raise ValueError("weights and accumulators must be 1-d or 2-d arrays of equal shape")
         if np.any(self.accumulators < 0):
             raise ValueError("accumulators must be nonnegative")
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
 
     def raw(self, x):
-        return x.dot(self.weights)
+        return self.weights[..., x.indices] @ x.values
 
 
-def online_update(regressor, x, cost, weight):
+def online_update(regressor, x, cost, weight, rows=None):
     """Apply one importance-weighted observation in place; returns regressor.
 
+    With rows, the listed rows of 2-d tables move toward their entries of cost
+    in one pass, each by the dot and math.exp that a lone regressor takes.
     Negative weights are accepted only as the analytic continuation used by
     derivative checks, and only while every touched accumulator stays
     positive; operational callers pass weight >= 0.
     """
     if not math.isfinite(weight):
         raise ValueError("weight must be finite")
-    idx = x.indices
-    val = x.values
+    idx, val = x.indices, x.values
     norm_sq = float(val @ val)
     # a squared norm of 0 (no features, or squares below the float range) moves nothing
     if weight == 0.0 or norm_sq == 0.0:
         return regressor
-    acc = regressor.accumulators[idx]
+    rows, cost = (np.zeros(1, dtype=np.intp), [cost]) if rows is None else (rows, cost)
+    weights, accumulators = np.atleast_2d(regressor.weights, regressor.accumulators)
+    at = (rows[:, None], idx)
+    acc = accumulators[at]
     grown = acc + weight * val * val
     if weight < 0 and np.any(grown <= 0):
         raise ValueError("negative weight would empty an accumulator")
-    d_int = 2.0 * float((np.sqrt(grown) - np.sqrt(acc)).sum())
-    residual = float(regressor.weights[idx] @ val) - cost
-    shrink = residual * (1.0 - math.exp(-2.0 * regressor.base_rate * d_int))
-    regressor.weights[idx] -= val * (shrink / norm_sq)
-    regressor.accumulators[idx] = grown
+    d_ints = (2.0 * (np.sqrt(grown) - np.sqrt(acc)).sum(axis=1)).tolist()
+    block = weights[at]
+    rate, per_row = -2.0 * regressor.base_rate, zip(block, cost, d_ints)
+    steps = [(float(w @ val) - c) * (1.0 - math.exp(rate * d)) / norm_sq for w, c, d in per_row]
+    weights[at] = block - np.multiply.outer(steps, val)
+    accumulators[at] = grown
     return regressor
 
 

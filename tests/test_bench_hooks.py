@@ -103,6 +103,13 @@ def test_traced_run_reaches_every_layer():
     assert online["online.online_update.calls"] > 0
     # online mode reads no ledger, so it writes no exact history either
     assert online["oracle.append_point.calls"] == 0
+    # one update per round that queries, one prediction per test checkpoint
+    rounds = online["driver.process_example.calls"]
+    queried = round(rounds * (1.0 - online["driver.no_query_round_ratio"]))
+    assert 0 < queried < rounds
+    assert online["online.online_update.calls"] == queried
+    for run in (exact, online):
+        assert run["driver.predict_label.calls"] == run["harness.evaluate_test_cost.calls"] > 0
 
 
 def test_traced_passive_run_probes_no_range():
@@ -111,6 +118,9 @@ def test_traced_passive_run_probes_no_range():
     passive = traced_metrics("online", 40, policy="passive")
     assert passive["online.batch_cost_ranges.calls"] == 0
     assert passive["online.online_update.calls"] > 0
+    # every passive round queries, so each makes one update
+    assert passive["online.online_update.calls"] == passive["driver.process_example.calls"]
+    assert passive["driver.predict_label.calls"] == passive["harness.evaluate_test_cost.calls"]
 
 
 def test_traced_file_run_times_its_set_up(tmp_path):

@@ -253,12 +253,13 @@ def test_online_observe_updates_view_backed_regressors():
 
 
 def test_online_regressors_view_the_tables_and_are_built_once(monkeypatch):
+    # online mode's K regressors are the rows of one OnlineRegressor over the
+    # state's tables, which every round's update writes in place
     state = fresh_state(k=3, dim=4, mode="online")
-    for row, regressor in enumerate(state.regressors):
-        assert np.shares_memory(regressor.weights, state.weights[row])
-        assert np.shares_memory(regressor.accumulators, state.accumulators[row])
+    weights, accumulators, regressor = state.weights, state.accumulators, state.regressor
+    assert regressor.weights is weights and regressor.accumulators is accumulators
     state.weights[:] = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(state.regressors[2].weights, [8.0, 9.0, 10.0, 11.0])
+    assert np.array_equal(regressor.weights[2], [8.0, 9.0, 10.0, 11.0])
     state.weights[:] = 0.0
 
     built = []
@@ -272,9 +273,11 @@ def test_online_regressors_view_the_tables_and_are_built_once(monkeypatch):
     for ex in stream:
         decision = process_example(state, ex.features)
         observe_costs(state, ex.features, decision, ex.costs)
-    assert state.log.l2 > 0 and state.weights.any()
+    assert state.log.l2 > 0 and weights.any() and accumulators.any()
     assert built == []
-    assert fresh_state(mode="exact").regressors == []
+    assert state.regressor is regressor
+    assert state.weights is weights and state.accumulators is accumulators
+    assert fresh_state(mode="exact").regressor is None
 
 
 def test_online_ledger_tracking_opt_in():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from coal import driver
 from coal.cli import build_parser, main
-from coal.data import DataError, full_costs, parse_hierarchy, sparse_vector
+from coal.data import DataError, full_costs, parse_hierarchy, partial_costs, sparse_vector
 from coal.driver import LearnerState
 from coal.harness import (
     ConfigError,
@@ -226,6 +227,78 @@ def test_evaluate_test_cost():
         LabeledExample(x, full_costs([0.4, 0.9])),
     ]
     assert evaluate_test_cost(state, tests) == pytest.approx(0.8)
+
+
+def per_example_test_cost(state, test):
+    """evaluate_test_cost one example at a time: each example's (K, nnz)
+    product, clamped to [0, 1], and the smallest of its cheapest labels."""
+    total = 0.0
+    for ex in test:
+        x = ex.features
+        predicted = np.clip(state.weights[:, x.indices] @ x.values, 0.0, 1.0)
+        total += ex.costs.cost_of(int(np.argmin(predicted)) + 1)
+    return total / len(test)
+
+
+def random_split(rng, k, dim, n, nnz):
+    """n test examples with up to nnz features each (some with none) and full costs."""
+    split = []
+    for _ in range(n):
+        idx = np.sort(rng.choice(dim, size=int(rng.integers(0, nnz + 1)), replace=False))
+        x = sparse_vector(list(zip(idx.tolist(), rng.uniform(-1.0, 1.0, idx.size).tolist())))
+        split.append(LabeledExample(x, full_costs(rng.uniform(0.0, 1.0, k))))
+    return split
+
+
+def test_evaluate_test_cost_matches_per_example_prediction():
+    # wide weights clamp many predictions at 0 or 1, so ties are common there
+    rng = np.random.default_rng(31)
+    ties = 0
+    for _ in range(60):
+        k, dim = int(rng.integers(2, 6)), int(rng.integers(1, 12))
+        state = LearnerState(k, dim, schedule=None, mode="online")
+        state.weights[:] = rng.uniform(-3.0, 3.0, (k, dim))
+        split = random_split(rng, k, dim, int(rng.integers(1, 40)), dim)
+        assert evaluate_test_cost(state, split) == per_example_test_cost(state, split)
+        predicted = state.predicted_costs([ex.features for ex in split])
+        ties += int(np.sum((predicted == predicted.min(axis=1, keepdims=True)).sum(axis=1) > 1))
+    assert ties > 100
+
+
+def test_evaluate_test_cost_ties_empty_examples_and_unobserved_costs():
+    state = LearnerState(3, 2, schedule=None, mode="online")
+    x = sparse_vector([(0, 1.0)])
+    costs = full_costs([0.125, 0.25, 0.5])
+    cases = (
+        ([[0.5, 0.0], [-1.0, 0.0], [-2.0, 0.0]], x, 0.25),  # labels 2 and 3 clamp to 0: 2 wins
+        ([[1.5, 0.0], [2.0, 0.0], [3.0, 0.0]], x, 0.125),  # all clamp to 1: label 1 wins
+        ([[0.9, 0.0], [0.8, 0.0], [0.7, 0.0]], sparse_vector([]), 0.125),  # no features: label 1
+    )
+    for weights, features, want in cases:
+        state.weights[:] = weights
+        assert evaluate_test_cost(state, [LabeledExample(features, costs)]) == want
+    both = [LabeledExample(x, costs), LabeledExample(sparse_vector([]), costs)]
+    assert evaluate_test_cost(state, both) == (0.5 + 0.125) / 2
+    unobserved = LabeledExample(x, partial_costs(3, {1: 0.0, 2: 0.0}))
+    with pytest.raises(DataError, match="cost of label 3 is unobserved"):
+        evaluate_test_cost(state, [LabeledExample(x, costs), unobserved])
+
+
+def test_evaluate_test_cost_builds_no_dense_split():
+    # a dense (n, dim) split would be 100 x 100 000 floats, 76 MiB
+    rng = np.random.default_rng(37)
+    k, dim = 5, 100_000
+    state = LearnerState(k, dim, schedule=None, mode="online")
+    state.weights[:] = rng.uniform(-1.0, 2.0, (k, dim))
+    split = random_split(rng, k, dim, 100, 20)
+    tracemalloc.start()
+    try:
+        got = evaluate_test_cost(state, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == per_example_test_cost(state, split)
 
 
 def test_run_seed_passive_counts():

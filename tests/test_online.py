@@ -122,6 +122,46 @@ def test_update_rejects_non_finite_weight():
         online_update(g, X1, 1.0, math.nan)
 
 
+def test_one_update_over_a_tables_rows_is_each_rows_update_alone():
+    # one online_update over a subset of a table's rows against online_update
+    # on each row's own OnlineRegressor view in turn. Each row's residual is
+    # its own dot and its decay math.exp, so the rows match bit for bit; rows
+    # outside the subset stay as they were, and a zero squared norm moves
+    # nothing
+    rng = np.random.default_rng(23)
+    k, dim = 5, 41  # odd, so that the rows of a dense block start unaligned
+    seen = set()
+    for trial in range(300):
+        weights = rng.uniform(-0.5, 1.0, (k, dim))
+        accums = rng.uniform(0.0, 2.0, (k, dim)) * (rng.uniform(size=(k, dim)) < 0.8)
+        rate = float(rng.uniform(0.1, 1.0))
+        rows = np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+        costs = rng.uniform(0.0, 1.0, rows.size)
+        weight = float(rng.choice([1.0, rng.uniform(0.0, 3.0)]))
+        kind = ("dense", "sparse", "zero norm")[trial % 3]
+        if kind == "dense":
+            x = sparse_vector(list(enumerate(rng.uniform(-1.0, 1.0, dim))))
+        elif kind == "sparse":
+            x = random_point(rng, dim)
+        else:
+            x = sparse_vector([(int(rng.integers(dim)), 1e-170)])
+        table = OnlineRegressor(weights.copy(), accums.copy(), rate)
+        assert online_update(table, x, costs, weight, rows) is table
+        alone = OnlineRegressor(weights.copy(), accums.copy(), rate)
+        for y, c in zip(rows, costs):
+            row = OnlineRegressor(alone.weights[y], alone.accumulators[y], rate)
+            online_update(row, x, float(c), weight)
+        assert np.array_equal(table.weights, alone.weights), trial
+        assert np.array_equal(table.accumulators, alone.accumulators), trial
+        untouched = np.setdiff1d(np.arange(k), rows) if kind != "zero norm" else np.arange(k)
+        assert np.array_equal(table.weights[untouched], weights[untouched])
+        assert np.array_equal(table.accumulators[untouched], accums[untouched])
+        if kind != "zero norm":
+            assert not np.array_equal(table.accumulators[rows], accums[rows])
+        seen.add((kind, rows.size))
+    assert seen >= {(kind, q) for kind in ("dense", "sparse") for q in range(1, k + 1)}, seen
+
+
 def test_regressor_validation():
     with pytest.raises(ValueError):
         OnlineRegressor(np.zeros(2), np.zeros(3), 0.5)
