@@ -11,18 +11,19 @@ t = 1 (t = 0 for the smallest): each guess asks whether
 
 Each search starts from a closed-form bracket: a sound lower end from the
 ellipsoid each ledger row confines the weights to, and an upper end from an
-exactly feasible witness. The round kernel (Brackets) computes both
-searches' brackets for every label at once, each quantity one numpy
-operation over the lanes of the learner's PrefixBlock (coal.oracle), and
-cost_intervals settles every search the bracket closes. Only a search left
-open builds its label's RangeProblem, from the label's lane of the kernel,
-whose guesses inside the bracket play a multiplicative-weights game between
-the constraints and a minimum-norm least-squares oracle (_bisect_cost); one
-formula (_estimates) turns every search's final bracket into its end and
-tol. Each of the m + 1 constraints is quadratic in g, so
-RangeProblem holds it as the augmented row [[G, h], [h', s]] of coal.oracle,
-whose quadratic form at [g; -1] is its value. A game iteration is two
-products with that stack: the mu-weighted row sum gives the H and b of one
+exactly feasible witness. The round kernel (Brackets) computes and holds
+both searches' brackets for every label at once, each quantity one numpy
+operation over the lanes of the learner's PrefixBlock (coal.oracle).
+_searches, which every exact search runs (cost_intervals, max_cost and
+min_cost alike), settles each search its bracket closes; one left open
+builds its label's RangeProblem, whose guesses inside the kernel's bracket
+play a multiplicative-weights game between the constraints and a
+minimum-norm least-squares oracle (_bisect_cost). One formula (_estimates)
+turns every search's final bracket into its end and tol. Each of the m + 1
+constraints is quadratic in g, so RangeProblem holds it as the augmented
+row [[G, h], [h', s]] of coal.oracle, whose quadratic form at [g; -1] is
+its value. A game iteration is two products with that stack: the
+mu-weighted row sum gives the H and b of one
 oracle.solve_bounded_least_squares call, and the product with
 [g; -1][g; -1]' gives every constraint value. An infeasibility verdict
 exhibits a nonnegative combination of constraints that no regressor can
@@ -243,7 +244,7 @@ class Brackets:
     budget that is infinite, or whose product with its round leaves the
     float range, saturates at the largest risk a regressor in the ball
     reaches on its prefix, (bound sqrt(trace G) + sqrt(s))^2: its row stays
-    slack.
+    slack. A search left open bisects from its column (_bisect_cost).
     """
 
     def __init__(self, x, labels, bound):
@@ -275,7 +276,7 @@ class Brackets:
         hi = np.minimum.reduce(centres + half, 1, where=live, initial=reach)
         self.outer = lo, hi
         self.c_lo = np.minimum(np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), 0.0) ** 2, 1.0)
-        self.start = start = _dots(anchors, x)
+        start = _dots(anchors, x)
         up = self.directions[np.arange(L), ends - 1] if count else np.tile(x, (L, 1))
         if 0 in m:
             up[m == 0] = x
@@ -327,9 +328,9 @@ class RangeProblem:
     weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack is
     gathered from the label's lane of its PrefixBlock: rows 1..m are the
     deduplicated ledger prefixes' rows, row 0 a scratch row, which each run
-    writes for its t, so no game writes the history. Its bracket and
-    target-free parts are the label's lane of a round kernel: lanes, the
-    round's Brackets, when given, or else a one-lane Brackets of its own.
+    writes for its t, so no game writes the history. Its saturated budgets
+    are the label's lane of a round kernel (which holds its brackets):
+    lanes, the round's Brackets, when given, or else a one-lane Brackets.
     """
 
     def __init__(self, x, state, bound, lanes=None):
@@ -339,20 +340,10 @@ class RangeProblem:
         self.m = len(table)
         lanes = Brackets(x, [state], self.bound) if lanes is None else lanes
         k, rows = state.lane - lanes.first_lane, table[:, 1].astype(np.intp) - 1
-        self.start, self.leverage = float(lanes.start[k]), float(lanes.leverage[k])
         self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
         self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
         saturated, budgets = lanes.saturated[k, rows], lanes.budgets[k, rows]
         self.budgets = np.where(saturated, budgets / self.denoms[1:], table[:, 2])
-        c_lo, c_hi = lanes.c_lo[:, k].tolist(), lanes.c_hi[:, k].tolist()
-        witnesses = [None if lanes.broken[k] else lanes.witness[t, k] for t in (0, 1)]
-        self._ends = list(zip(c_lo, c_hi, witnesses))
-
-    def bracket(self, t):
-        """Closed-form (c_lo, c_hi, witness) for the search against target t, 0
-        or 1, as Brackets defines them; witness is None when c_hi is 1 for lack
-        of one."""
-        return self._ends[t]
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""
@@ -405,56 +396,63 @@ class CostEstimate:
 
     value: float
     tol: float
-    bracket_lo: float
-    bracket_hi: float
-    mw_slack: float
-    guesses: int
 
 
-def _bisect_cost(target, problem, tol, cfg, settings):
-    """Bisect the search against target from the problem's bracket, one game
-    per guess, until the bracket is at most tol^2 / 2 wide. Returns the final
-    (c_lo, c_hi), the side (the last feasible regressor's prediction, or
-    the anchor's when none was feasible) and the number of guesses."""
-    c_lo, c_hi, witness = problem.bracket(target)
-    guesses = 0
+def _bisect_cost(target, problem, c_lo, c_hi, side, tol, cfg, settings):
+    """Bisect the search against target from the kernel's bracket [c_lo,
+    c_hi] and side, one game per guess, until the bracket is at most
+    tol^2 / 2 wide. Returns the final (c_lo, c_hi) and side: the last
+    feasible regressor's prediction, or the kernel's side when no guess was
+    feasible."""
     while c_hi - c_lo > tol * tol / 2.0:
         c_mid = (c_lo + c_hi) / 2.0
-        guesses += 1
         outcome = problem.run(c_mid, target, cfg, settings)
         if outcome.feasible:
-            c_hi = c_mid
-            witness = outcome.regressor.weights
+            c_hi, side = c_mid, float(outcome.regressor.weights @ problem.x)
         else:
             c_lo = c_mid
-    side = problem.start if witness is None else float(witness @ problem.x)
-    return c_lo, c_hi, side, guesses
+    return c_lo, c_hi, side
 
 
-def _estimates(t, c_lo, c_hi, side, slack, leverage, x, bound):
-    """The (value, tol) of searches against targets t (0 or 1) that ended at
-    [c_lo, c_hi] with the witness's prediction at side, their games' slack
-    being slack: the module docstring's tol, whose second term is 0 with no
-    ledger (slack 0, where the leverage is unbounded and unused). The guess
-    measures |prediction - t|, which cannot tell a space just short of the
-    target from one just past it; side pins it, and a space past the target
-    saturates the clamped cost at t. Broadcasts, so it serves one search or
-    a round's (2, K) of them alike."""
+def _estimates(c_lo, c_hi, side, slack, leverage, x, bound):
+    """The (2, K) (value, tol) of the searches against t = 0 (row 0) and
+    t = 1 (row 1) that ended at [c_lo, c_hi] with the witness's prediction
+    at side, their games' slack being slack: the module docstring's tol,
+    whose second term is 0 with no ledger (slack 0, where the leverage is
+    unbounded and unused). The guess measures |prediction - t|, which cannot
+    tell a space just short of the target from one just past it; side pins
+    it, and a space past the target saturates the clamped cost at t."""
     with np.errstate(over="ignore"):  # a product past the float range is inf, capped below
         geom = np.multiply(slack, leverage, out=np.zeros(np.shape(c_lo)), where=slack > 0.0)
     geom = np.minimum(np.sqrt(geom), 2.0 * bound * math.sqrt(float(x @ x)))
+    t = _TARGETS
     near = t + (1 - 2 * t) * np.sqrt(c_lo)  # sqrt(c_lo) from t = 0, 1 - sqrt(c_lo) from t = 1
     value = np.where(side * (2 * t - 1) > t, t, near)  # side < 0, or side > 1
     return np.minimum(np.maximum(value, 0.0), 1.0), np.sqrt((c_hi - c_lo) + slack) + geom
 
 
-def _search(target, x, state, tol, round_i, delta_i, rho, bound, settings):
-    problem = RangeProblem(x, state, bound)
-    cfg = mw_config_for(problem.m + 1, mw_iterations(round_i, delta_i, tol, settings), rho)
-    c_lo, c_hi, side, guesses = _bisect_cost(target, problem, tol, cfg, settings)
-    slack = mw_slack(problem.m + 1, cfg)
-    value, est = _estimates(target, c_lo, c_hi, side, slack, problem.leverage, problem.x, bound)
-    return CostEstimate(float(value), float(est), c_lo, c_hi, slack, guesses)
+def _searches(x, labels, tol, round_i, delta_i, rho, bound, settings):
+    """Every search's (value, tol) at x, as (2, K) arrays: row 0 the
+    smallest cost of each label, row 1 the largest.
+
+    labels are consecutive lanes of one PrefixBlock. The round kernel
+    (Brackets) brackets every search; only a search its bracket leaves open
+    builds its label's RangeProblem and bisects with games (_bisect_cost).
+    _estimates turns every search's final bracket into its end and tol.
+    """
+    dense = x.to_dense(labels[0].dim)
+    lanes = Brackets(dense, labels, bound)
+    t_budget = mw_iterations(round_i, delta_i, tol, settings)
+    counts = lanes.m.tolist()
+    cfgs = [mw_config_for(m + 1, t_budget, rho) for m in counts]
+    slack = np.array([mw_slack(m + 1, cfg) for m, cfg in zip(counts, cfgs)])
+    ends = np.array((lanes.c_lo, lanes.c_hi, lanes.side))  # every search's (c_lo, c_hi, side)
+    problems = {}
+    for t, k in zip(*np.nonzero(ends[1] - ends[0] > tol * tol / 2.0)):
+        if k not in problems:
+            problems[k] = RangeProblem(x, labels[k], bound, lanes)
+        ends[:, t, k] = _bisect_cost(int(t), problems[k], *ends[:, t, k], tol, cfgs[k], settings)
+    return _estimates(*ends, slack, lanes.leverage, dense, bound)
 
 
 def max_cost(
@@ -473,7 +471,8 @@ def max_cost(
     achievable clamped cost by more than the reported tol, and infeasibility
     certificates guarantee it never exceeds 1 - sqrt of the true optimum.
     """
-    return _search(1, x, state, tol, round_i, delta_i, rho, bound, settings)
+    values, tols = _searches(x, [state], tol, round_i, delta_i, rho, bound, settings)
+    return CostEstimate(float(values[1, 0]), float(tols[1, 0]))
 
 
 def min_cost(
@@ -487,7 +486,8 @@ def min_cost(
     settings=DEFAULT_SETTINGS,
 ):
     """Smallest cost any ledger-consistent regressor assigns to x."""
-    return _search(0, x, state, tol, round_i, delta_i, rho, bound, settings)
+    values, tols = _searches(x, [state], tol, round_i, delta_i, rho, bound, settings)
+    return CostEstimate(float(values[0, 0]), float(tols[0, 0]))
 
 
 def cost_interval(
@@ -508,29 +508,14 @@ def cost_interval(
 def cost_intervals(x, labels, tol, round_i, delta_i, rho, bound, settings):
     """Every label's achievable-cost interval at x, as (lo, hi, tol) arrays.
 
-    labels are consecutive lanes of one PrefixBlock. The round kernel
-    (Brackets) brackets every search; only a search its bracket leaves open
-    builds its label's RangeProblem and bisects with games (_bisect_cost).
-    _estimates turns every search's final bracket into its end and tol. A
-    label whose ends cross beyond 2 tol, where no regressor meets every
-    budget (an empty version space), gets [0, 1] and keeps its tol: nothing
-    is known of its cost, so it stays a query candidate.
+    labels are consecutive lanes of one PrefixBlock; _searches gives both
+    ends, and the interval's tol is the larger of theirs. A label whose
+    ends cross beyond 2 tol, where no regressor meets every budget (an
+    empty version space), gets [0, 1] and keeps its tol: nothing is known
+    of its cost, so it stays a query candidate.
     """
-    dense = x.to_dense(labels[0].dim)
-    lanes = Brackets(dense, labels, bound)
-    t_budget = mw_iterations(round_i, delta_i, tol, settings)
-    counts = lanes.m.tolist()
-    cfgs = [mw_config_for(m + 1, t_budget, rho) for m in counts]
-    slack = np.array([mw_slack(m + 1, cfg) for m, cfg in zip(counts, cfgs)])
-    c_lo, c_hi, side = lanes.c_lo.copy(), lanes.c_hi.copy(), lanes.side.copy()
-    problems = {}
-    for target, k in zip(*np.nonzero(c_hi - c_lo > tol * tol / 2.0)):
-        if k not in problems:
-            problems[k] = RangeProblem(x, labels[k], bound, lanes)
-        search = _bisect_cost(int(target), problems[k], tol, cfgs[k], settings)
-        c_lo[target, k], c_hi[target, k], side[target, k] = search[:3]
-    ends, tols = _estimates(_TARGETS, c_lo, c_hi, side, slack, lanes.leverage, dense, bound)
-    lo, hi, tol = ends[0], ends[1], np.maximum(tols[0], tols[1])
+    values, tols = _searches(x, labels, tol, round_i, delta_i, rho, bound, settings)
+    lo, hi, tol = values[0], values[1], np.maximum(tols[0], tols[1])
     empty = lo > hi + 2.0 * tol + 1e-9
     lo[empty], hi[empty] = 0.0, 1.0
     return lo, hi, tol

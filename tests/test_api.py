@@ -74,6 +74,51 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert TEST_REFERENCES <= imported, f"no test imports {sorted(TEST_REFERENCES - imported)}"
 
 
+# public methods and properties that only tests or perfbench read
+ATTRIBUTE_REFERENCES = {
+    "CostInterval.width",
+    "GroundTruth.true_costs",
+    "LabelState.constraint_view",
+    "QueryDecision.intervals",
+    "SparseVector.dot",
+}
+
+
+def _attributes_read(folder):
+    """Attribute names read in a folder's modules, except numpy's and math's:
+    np.dot does not read SparseVector.dot."""
+    read = set()
+    for path in folder.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if not (isinstance(base, ast.Name) and base.id in ("np", "math")):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    methods = {
+        f"{stmt.name}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for stmt in _parse(path).body
+        if isinstance(stmt, ast.ClassDef)
+        for node in stmt.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = _attributes_read(PACKAGE)
+    called = {method for method in methods if method.split(".")[1] in read}
+    assert ATTRIBUTE_REFERENCES <= methods
+    assert not ATTRIBUTE_REFERENCES & called, "a method the package reads needs no exemption"
+    unused = sorted(methods - called - ATTRIBUTE_REFERENCES)
+    assert not unused, f"public methods never read in src/coal: {unused}"
+    outside = _attributes_read(REPO / "tests") | _attributes_read(REPO / "perfbench")
+    unread = sorted(m for m in ATTRIBUTE_REFERENCES if m.split(".")[1] not in outside)
+    assert not unread, f"no test or perfbench reads {unread}"
+
+
 CALLER_DIRS = [PACKAGE, REPO / "tests", REPO / "perfbench"]
 
 
