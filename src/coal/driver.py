@@ -138,19 +138,16 @@ def _decide(policy, los, his, threshold):
     """Candidate set and query set from interval ends (0-based arrays)."""
     candidate = los <= his.min()
     wide = his - los > threshold
-    nondominated = np.flatnonzero(candidate)
+    nondominated = candidate.nonzero()[0]
     if policy == "passive":
         to_query = np.arange(los.size)
     elif policy == "nodom":
-        to_query = np.flatnonzero(wide)
+        to_query = wide.nonzero()[0]
     else:
-        overlap_query = (
-            np.flatnonzero(candidate & wide) if nondominated.size > 1 else np.empty(0, int)
-        )
-        if policy == "coal":
-            to_query = overlap_query
-        else:  # allornone
-            to_query = np.arange(los.size) if overlap_query.size else np.empty(0, int)
+        # a lone candidate is the round's best label, so it is never queried
+        to_query = (candidate & wide & (nondominated.size > 1)).nonzero()[0]
+        if policy == "allornone" and to_query.size:
+            to_query = np.arange(los.size)
     return nondominated, to_query
 
 
@@ -176,14 +173,9 @@ def process_example(state, x):
         )  # fmt: skip
     nondominated, to_query = _decide(state.policy, los, his, threshold)
     return QueryDecision(
-        round=i,
-        lo=los,
-        hi=his,
-        tol=tols,
-        nondominated=tuple(int(y) + 1 for y in nondominated),
-        to_query=tuple(int(y) + 1 for y in to_query),
-        psi=threshold,
-    )
+        round=i, lo=los, hi=his, tol=tols, psi=threshold,
+        nondominated=tuple((nondominated + 1).tolist()), to_query=tuple((to_query + 1).tolist()),
+    )  # fmt: skip
 
 
 def observe_costs(state, x, decision, costs):

@@ -26,6 +26,12 @@ A label's cost range is how far the prediction can move toward 0 and toward
 1 before the importance-weighted update that moves it there costs more
 squared error than the round's risk radius allows. The break-even weight is
 the root of a cubic, which has a closed form (see _gap_moves).
+
+That kernel runs every online round on (2, K) arrays, where numpy's per-call
+overhead outweighs the arithmetic. Its constants are 0-d float64 arrays, which
+ufuncs take as they are (a Python float is converted on every call). It gathers
+by table.T.take(idx, 0).T: cheaper than table[:, idx], and the same column-major
+block, whose layout fixes how the gemv and row sums round, so lo and hi too.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ ACCUM_FLOOR = 1e-12
 CALM_RADIUS = 1e100
 CALM_RATE = 1e100  # so does s itself up to this learning rate; inf times a zero gap moves nothing
 _SIDES = np.array([[0.0], [1.0]])  # the cost each row of the (2, K) range arrays moves toward
+_ZERO, _ONE, _FLOOR, _TWO, _THREE = map(np.array, (0.0, 1.0, ACCUM_FLOOR, 2.0, 3.0))
+_27_32, _2_3, _4_3, _2_SQRT3 = map(np.array, (27 / 32, 2 / 3, 4 / 3, 2 / math.sqrt(3.0)))
 
 
 @dataclass
@@ -89,8 +97,8 @@ def online_update(regressor, x, cost, weight, rows=None):
         raise ValueError("negative weight would empty an accumulator")
     d_ints = (2.0 * (np.sqrt(grown) - np.sqrt(acc)).sum(axis=1)).tolist()
     block = weights[at]
-    rate, per_row = -2.0 * regressor.base_rate, zip(block, cost, d_ints)
-    steps = [(float(w @ val) - c) * (1.0 - math.exp(rate * d)) / norm_sq for w, c, d in per_row]
+    rate, per_row = -2.0 * regressor.base_rate, zip(np.vecdot(block, val).tolist(), cost, d_ints)
+    steps = [(dot - c) * (1.0 - math.exp(rate * d)) / norm_sq for dot, c, d in per_row]
     weights[at] = block - np.multiply.outer(steps, val)
     accumulators[at] = grown
     return regressor
@@ -112,9 +120,9 @@ def _gap_fraction(r):
     sum of two nonnegative terms below, which keeps full float64 precision as
     r -> 0 (the arccos form loses about sqrt(eps) there) and gives u(0) = 0.
     """
-    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(r, 1.0) * (27.0 / 32.0)))
-    u = (4.0 / 3.0) * np.sin(phi / 2.0) ** 2 + (2.0 / math.sqrt(3.0)) * np.sin(phi)
-    return np.where(r >= 1.0, 1.0, u)
+    phi = _2_3 * np.arcsin(np.sqrt(np.minimum(r, _ONE) * _27_32))
+    u = _4_3 * np.sin(phi / _TWO) ** 2 + _2_SQRT3 * np.sin(phi)
+    return np.where(r >= _ONE, _ONE, u)
 
 
 def _gap_moves(gap, s, deltas):
@@ -130,9 +138,9 @@ def _gap_moves(gap, s, deltas):
     the gap (r >= 1), so only the rest is divided: a gap within about 1e-103
     of a side, whose cube underflows, is never a divisor.
     """
-    live = (gap > 0) & (s > 0)
+    live = np.minimum(gap, s) > _ZERO
     r = np.multiply(deltas, s, out=np.zeros(gap.shape), where=live)
-    cube = gap**3
+    cube = np.power(gap, _THREE)
     spans = r >= cube
     np.divide(r, cube, out=r, where=~spans)
     return _gap_fraction(np.maximum(r, spans, out=r)) * gap
@@ -159,10 +167,10 @@ def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
     importance weight w is w * sensitivity.
     """
     idx, val = x.indices, x.values
-    raw = weight_rows[:, idx] @ val
-    p = np.minimum(np.maximum(raw, 0.0), 1.0)
-    acc = np.maximum(accum_rows[:, idx], ACCUM_FLOOR)
-    scale = (val * val / np.sqrt(acc)).sum(axis=1)
+    raw = weight_rows.T.take(idx, 0).T @ val
+    p = np.minimum(np.maximum(raw, _ZERO), _ONE)
+    acc = np.maximum(accum_rows.T.take(idx, 0).T, _FLOOR)
+    scale = np.add.reduce(val * val / np.sqrt(acc), 1)
     gaps, offsets = np.abs(_SIDES - p), np.abs(raw - _SIDES)
     calm = deltas <= CALM_RADIUS  # a float radius skips numpy's reduction below
     if base_rate <= CALM_RATE and (calm is True or np.all(calm)):
@@ -170,4 +178,4 @@ def batch_cost_ranges(weight_rows, accum_rows, base_rate, x, deltas):
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             moves = _gap_moves(gaps, 2.0 * base_rate * offsets * scale, deltas)
-    return np.maximum(p - moves[0], 0.0), np.minimum(p + moves[1], 1.0)
+    return np.maximum(p - moves[0], _ZERO), np.minimum(p + moves[1], _ONE)

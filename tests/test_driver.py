@@ -381,6 +381,25 @@ def test_query_flow_over_stream_invariants():
     assert state.round == 41
 
 
+def test_decisions_hold_ascending_plain_ints():
+    # a decision's label tuples are what a trace writes out: Python ints, not
+    # numpy integers, in ascending order, for every policy in both modes
+    stream, _ = gen_stream(3, 3, massart(0.3), 24, seed=5)
+    for policy in ("coal", "passive", "allornone", "nodom"):
+        for mode in ("exact", "online"):
+            state = fresh_state(3, 4, policy, mode, settings=MwSettings(t_max=200))
+            widest = {"nondominated": 0, "to_query": 0}
+            for ex in stream:
+                decision = process_example(state, ex.features)
+                for name in widest:
+                    labels = getattr(decision, name)
+                    assert all(type(y) is int for y in labels), (policy, mode, name, labels)
+                    assert list(labels) == sorted(set(labels)), (policy, mode, name, labels)
+                    widest[name] = max(widest[name], len(labels))
+                observe_costs(state, ex.features, decision, ex.costs)
+            assert min(widest.values()) >= 2, (policy, mode, widest)
+
+
 def test_coal_queries_subset_of_nodom_on_shared_state():
     stream, _ = gen_stream(3, 3, massart(0.2), 30, seed=1)
     state = fresh_state(k=3, dim=4, mode="online", policy="coal")

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coal.cost_range import RadiusSchedule
+from coal.cost_range import RadiusSchedule, radius
 from coal.data import sparse_vector
-from coal.driver import LearnerState
+from coal.driver import LearnerState, observe_costs, process_example
+from coal.harness import ExperimentConfig, _load_streams, parse_synthetic_spec
 from coal.online import (
     ACCUM_FLOOR,
     OnlineRegressor,
+    _break_even,
     _gap_fraction,
     batch_cost_ranges,
     online_update,
@@ -431,3 +433,46 @@ def test_fused_kernel_spans_a_gap_whose_cube_underflows_without_a_warning():
                 np.array([[p], [0.5]]), np.ones((2, 1)), 0.5, sparse_vector([(0, 1.0)]), 0.01
             )
             assert lo[0] == 0.0 and 0.0 < hi[0] < 1.0 and 0.0 < lo[1] < 0.5 < hi[1] < 1.0
+
+
+def test_an_online_stream_replays_the_per_side_passes_bit_for_bit():
+    # every round of a real online run: a gather that changes weights[:, idx]'s
+    # column-major layout rounds the gemv or the row sums differently
+    cfg = ExperimentConfig(synthetic=parse_synthetic_spec("massart:k=5,dim=8,tau=0.3,n=512"))
+    trains, _, k, dim = _load_streams(cfg)
+    state = LearnerState(k, dim, cfg.schedule(len(trains[0]), dim, k), mode="online")
+    interior = 0
+    for ex in trains[0]:
+        args = (state.weights, state.accumulators, state.base_rate, ex.features)
+        delta = radius(state.round, state.schedule)
+        lo, hi = batch_cost_ranges(*args, delta)
+        want = per_side_ranges(*args, delta)
+        assert np.array_equal(lo, want[0]) and np.array_equal(hi, want[1]), state.round
+        interior += int(np.sum((lo > 0.0) & (hi < 1.0)))
+        observe_costs(state, ex.features, process_example(state, ex.features), ex.costs)
+    assert interior > 0 and state.log.l2 > 0
+
+
+def test_gap_fraction_on_0d_input_as_break_even_passes_it():
+    rs = np.array([0.0, 1e-300, 0.3, 1.0, 5.0])
+    for r, want in zip(rs, _gap_fraction(rs)):
+        u = _gap_fraction(np.asarray(r))
+        assert np.ndim(u) == 0 and float(u) == want
+    # _break_even's weight times s is the move of the kernel's scalar-radius
+    # path toward 1 on a one-row table, up to rounding: its gap**3 is Python's
+    # pow, which parts from numpy's power in the last bit on some gaps
+    rng = np.random.default_rng(26)
+    checked = 0
+    for _ in range(50):
+        g = random_state(rng)
+        x = random_point(rng)
+        delta = float(10.0 ** rng.uniform(-4, -1))
+        p = float(np.clip(g.raw(x), 0.0, 1.0))
+        s = float(sensitivity(g, x, 1.0))
+        if not 0.0 < p < 1.0 or s == 0.0:
+            continue
+        w = _break_even((1.0 - p) ** 2, s, delta, (1.0 - p) / s)
+        assert type(w) is float
+        assert p + w * s == pytest.approx(one_range(g, x, delta)[1], rel=1e-12, abs=1e-15)
+        checked += 1
+    assert checked >= 20
