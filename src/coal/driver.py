@@ -127,6 +127,8 @@ class LearnerState:
         """Current clamped cost predictions, one per label; a list of vectors gets a row
         each, from weights gathered at the concatenated features: no (n, dim) array."""
         split = [x] if isinstance(x, SparseVector) else x
+        if not split:
+            return np.zeros((0, self.k))
         idx, val = map(np.concatenate, zip(*[(v.indices, v.values) for v in split]))
         owner = np.repeat(np.arange(len(split)), [v.indices.size for v in split])
         raw = np.column_stack([np.bincount(owner, w[idx] * val, len(split)) for w in self.weights])
@@ -154,14 +156,15 @@ def _decide(policy, los, his, threshold):
 def process_example(state, x):
     """Compute interval ends and the query decision for the current round.
 
-    A passive round queries every label, so it computes no cost range in
-    either mode: its ends are 0 and 1, with tol 1.
+    A passive round queries every label, so it runs no cost range and no
+    decision pass: its ends are 0 and 1, its tols 1, both its sets all labels.
     """
     i = state.round
     threshold = psi(i)
-    if state.policy == "passive":
-        los, his, tols = np.zeros(state.k), np.ones(state.k), np.ones(state.k)
-    elif state.mode == "online":
+    if state.policy == "passive":  # _decide's sets: every lo (0) is at most every hi (1)
+        every, k = tuple(range(1, state.k + 1)), state.k
+        return QueryDecision(i, np.zeros(k), np.ones(k), np.ones(k), every, every, threshold)
+    if state.mode == "online":
         los, his = batch_cost_ranges(
             state.weights, state.accumulators, state.base_rate, x, radius(i, state.schedule)
         )
@@ -171,11 +174,9 @@ def process_example(state, x):
             x, state.labels, threshold / 4.0, i, radius(i, state.schedule),
             state.schedule.kappa, state.norm_bound, state.settings,
         )  # fmt: skip
-    nondominated, to_query = _decide(state.policy, los, his, threshold)
-    return QueryDecision(
-        round=i, lo=los, hi=his, tol=tols, psi=threshold,
-        nondominated=tuple((nondominated + 1).tolist()), to_query=tuple((to_query + 1).tolist()),
-    )  # fmt: skip
+    sets = _decide(state.policy, los, his, threshold)
+    nondominated, to_query = [tuple((s + 1).tolist()) for s in sets]
+    return QueryDecision(i, los, his, tols, nondominated, to_query, threshold)
 
 
 def observe_costs(state, x, decision, costs):

@@ -29,9 +29,11 @@ the root of a cubic, which has a closed form (see _gap_moves).
 
 That kernel runs every online round on (2, K) arrays, where numpy's per-call
 overhead outweighs the arithmetic. Its constants are 0-d float64 arrays, which
-ufuncs take as they are (a Python float is converted on every call). It gathers
-by table.T.take(idx, 0).T: cheaper than table[:, idx], and the same column-major
-block, whose layout fixes how the gemv and row sums round, so lo and hi too.
+ufuncs take as they are. It gathers by table.T.take(idx, 0).T: cheaper than
+table[:, idx], and the same column-major block, whose layout fixes how the gemv
+and row sums round. The update reads and writes its rows at one flat index,
+row * dim + feature: take and put move the C-ordered (rows, nnz) block of
+table[rows[:, None], idx], so its dots and row sums round as that block's do.
 """
 
 from __future__ import annotations
@@ -76,10 +78,11 @@ def online_update(regressor, x, cost, weight, rows=None):
     """Apply one importance-weighted observation in place; returns regressor.
 
     With rows, the listed rows of 2-d tables move toward their entries of cost
-    in one pass, each by the dot and math.exp that a lone regressor takes.
-    Negative weights are accepted only as the analytic continuation used by
-    derivative checks, and only while every touched accumulator stays
-    positive; operational callers pass weight >= 0.
+    in one pass, each by the dot and math.exp that a lone regressor takes; a
+    1-d regressor is the case rows = [0]. Both tables are read with one flat
+    take and written back with one flat put, never rebound. Negative weights
+    are only the analytic continuation used by derivative checks, accepted
+    while every touched accumulator stays positive.
     """
     if not math.isfinite(weight):
         raise ValueError("weight must be finite")
@@ -89,18 +92,19 @@ def online_update(regressor, x, cost, weight, rows=None):
     if weight == 0.0 or norm_sq == 0.0:
         return regressor
     rows, cost = (np.zeros(1, dtype=np.intp), [cost]) if rows is None else (rows, cost)
-    weights, accumulators = np.atleast_2d(regressor.weights, regressor.accumulators)
-    at = (rows[:, None], idx)
-    acc = accumulators[at]
+    if idx[-1] >= (dim := regressor.weights.shape[-1]):  # or a flat index lands in the next row
+        raise IndexError(f"feature {idx[-1]} is out of bounds for dim {dim}")
+    at, shape = (rows[:, None] * dim + idx).ravel(), (rows.size, idx.size)
+    acc = regressor.accumulators.take(at).reshape(shape)
     grown = acc + weight * val * val
     if weight < 0 and np.any(grown <= 0):
         raise ValueError("negative weight would empty an accumulator")
-    d_ints = (2.0 * (np.sqrt(grown) - np.sqrt(acc)).sum(axis=1)).tolist()
-    block = weights[at]
-    rate, per_row = -2.0 * regressor.base_rate, zip(np.vecdot(block, val).tolist(), cost, d_ints)
-    steps = [(dot - c) * (1.0 - math.exp(rate * d)) / norm_sq for dot, c, d in per_row]
-    weights[at] = block - np.multiply.outer(steps, val)
-    accumulators[at] = grown
+    halves = np.add.reduce(np.sqrt(grown) - np.sqrt(acc), 1).tolist()  # D(w) / 2 per row
+    block = regressor.weights.take(at).reshape(shape)
+    rate, per_row = -2.0 * regressor.base_rate, zip(np.vecdot(block, val).tolist(), cost, halves)
+    steps = [(dot - c) * (1.0 - math.exp(rate * (2.0 * h))) / norm_sq for dot, c, h in per_row]
+    regressor.weights.put(at, block - np.multiply.outer(steps, val))
+    regressor.accumulators.put(at, grown)
     return regressor
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coal import driver, harness
 from coal.cost_range import CostInterval, MwSettings, RadiusSchedule, radius
 from coal.data import full_costs, partial_costs, sparse_vector
 from coal.driver import (
@@ -65,6 +66,17 @@ def test_predict_label_tie_breaks_low():
 def test_predict_label_all_zero():
     state = fresh_state(k=3, dim=2, mode="online")
     assert predict_label(state, BIAS) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "online"])
+def test_an_empty_list_predicts_no_rows(mode):
+    # one row per vector of a list: none for an empty one, where zip(*[]) has nothing to unpack
+    state = fresh_state(k=3, dim=2, mode=mode)
+    costs = state.predicted_costs([])
+    assert costs.shape == (0, 3) and costs.dtype == np.float64
+    labels = predict_label(state, [])
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+    assert predict_label(state, [BIAS, BIAS]).tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("mode", ["exact", "online"])
@@ -209,6 +221,58 @@ def test_passive_exact_skips_interval_solves(monkeypatch):
         decision = process_example(state, BIAS)
         assert decision.to_query == (1, 2)
         assert all(iv.tol == 1.0 for iv in decision.intervals), mode
+
+
+def passive_decision_is_every_label(decision, k, round_i):
+    assert decision.round == round_i and decision.psi == psi(round_i)
+    for ends, value in ((decision.lo, 0.0), (decision.hi, 1.0), (decision.tol, 1.0)):
+        assert isinstance(ends, np.ndarray) and ends.shape == (k,) and (ends == value).all()
+    assert decision.nondominated == decision.to_query == tuple(range(1, k + 1))
+
+
+def test_passive_rounds_run_no_decision_pass(monkeypatch):
+    # a passive round's sets are every label, the sets _decide would give
+    # (every lo of 0 is at most the smallest hi of 1), so it never runs it
+    def decide(*args):
+        raise AssertionError("a passive round ran the decision pass")
+
+    monkeypatch.setattr(driver, "_decide", decide)
+    stream, _ = gen_stream(4, 4, massart(0.2), 12, seed=9)
+    for mode in ("exact", "online"):
+        state = fresh_state(k=4, dim=5, policy="passive", mode=mode)
+        for i, ex in enumerate(stream, start=1):
+            decision = process_example(state, ex.features)
+            passive_decision_is_every_label(decision, 4, i)
+            observe_costs(state, ex.features, decision, ex.costs)
+        assert state.log.l2 == 4 * len(stream), mode
+
+
+@pytest.mark.parametrize("mode", ["exact", "online"])
+def test_seed_passive_warm_up_rounds_run_no_decision_pass(monkeypatch, mode):
+    # run_seed plays a coal run's warm-up rounds as passive ones: those give
+    # every label without _decide, and the coal rounds after them run it
+    decide, warm_up, calls = driver._decide, [], []
+
+    def guarded(*args):
+        assert not warm_up[-1], "a warm-up round ran the decision pass"
+        calls.append(args)
+        return decide(*args)
+
+    def recording(state, x):
+        warm_up.append(state.policy == "passive")
+        decision = process_example(state, x)
+        if warm_up[-1]:
+            passive_decision_is_every_label(decision, state.k, len(warm_up))
+        return decision
+
+    monkeypatch.setattr(driver, "_decide", guarded)
+    monkeypatch.setattr(harness, "process_example", recording)
+    spec = harness.parse_synthetic_spec("massart:k=3,dim=3,n=16")
+    cfg = harness.ExperimentConfig(synthetic=spec, mode=mode, seeds=1, out_dir="", seed_passive=6)
+    trains, test, k, dim = harness._load_streams(cfg)
+    harness.run_seed(cfg, 0, trains[0], test, k, dim)
+    assert warm_up == [True] * 6 + [False] * 10
+    assert len(calls) == 10
 
 
 def test_online_intervals_are_read_back_from_the_ends():

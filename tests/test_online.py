@@ -164,6 +164,101 @@ def test_one_update_over_a_tables_rows_is_each_rows_update_alone():
     assert seen >= {(kind, q) for kind in ("dense", "sparse") for q in range(1, k + 1)}, seen
 
 
+def fancy_update(regressor, x, cost, weight, rows=None):
+    """The update through 2-d fancy indexing on np.atleast_2d views of the tables:
+    the reference that the flat take and put must match bit for bit."""
+    idx, val = x.indices, x.values
+    norm_sq = float(val @ val)
+    if weight == 0.0 or norm_sq == 0.0:
+        return
+    rows, cost = (np.zeros(1, dtype=np.intp), [cost]) if rows is None else (rows, cost)
+    weights, accumulators = np.atleast_2d(regressor.weights, regressor.accumulators)
+    at = (rows[:, None], idx)
+    acc = accumulators[at]
+    grown = acc + weight * val * val
+    d_ints = (2.0 * (np.sqrt(grown) - np.sqrt(acc)).sum(axis=1)).tolist()
+    block = weights[at]
+    rate, dots = -2.0 * regressor.base_rate, np.vecdot(block, val).tolist()
+    per_row = zip(dots, cost, d_ints)
+    steps = [(dot - c) * (1.0 - math.exp(rate * d)) / norm_sq for dot, c, d in per_row]
+    weights[at] = block - np.multiply.outer(steps, val)
+    accumulators[at] = grown
+
+
+def layouts(weights, accums):
+    """The same tables C-ordered, Fortran-ordered and as strided views of larger arrays."""
+    yield "C", weights.copy(), accums.copy()
+    yield "F", np.array(weights, order="F"), np.array(accums, order="F")
+    big = (2 * len(weights), 3 * weights.shape[-1])
+    view_w, view_a = np.zeros(big)[1::2, 2::3], np.ones(big)[1::2, 2::3]
+    view_w[:], view_a[:] = weights, accums
+    yield "strided", view_w, view_a
+
+
+def test_flat_update_matches_fancy_indexing_bit_for_bit():
+    # the flat take/put against the 2-d fancy indexing it replaced, on every
+    # table layout: a 1-d regressor (rows=None), unsorted row subsets of every
+    # size, and weights 0, 1 and others; the tables are written in place
+    rng = np.random.default_rng(41)
+    k, dim = 4, 23
+    seen, kinds = set(), set()
+    for trial in range(240):
+        weights = rng.uniform(-0.5, 1.0, (k, dim))
+        accums = rng.uniform(0.0, 2.0, (k, dim)) * (rng.uniform(size=(k, dim)) < 0.8)
+        rate = float(rng.uniform(0.1, 1.0))
+        weight = float((0.0, 1.0, rng.uniform(0.0, 3.0))[trial % 3])
+        dense = sparse_vector(list(enumerate(rng.uniform(-1.0, 1.0, dim))))
+        x = random_point(rng, dim) if trial % 2 else dense
+        if trial % 5 == 0:  # a 1-d regressor, whose rows is None
+            rows, costs = None, float(rng.uniform())
+            weights, accums = weights[0], accums[0]
+        else:
+            rows = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+            costs = rng.uniform(0.0, 1.0, rows.size)
+        for layout, w, a in layouts(weights, accums):
+            got, want = OnlineRegressor(w, a, rate), OnlineRegressor(w.copy(), a.copy(), rate)
+            assert got.weights is w and got.accumulators is a
+            assert online_update(got, x, costs, weight, rows) is got
+            fancy_update(want, x, costs, weight, rows)
+            assert got.weights is w and got.accumulators is a, layout
+            assert np.array_equal(w, want.weights), (trial, layout)
+            assert np.array_equal(a, want.accumulators), (trial, layout)
+            if weight:
+                assert not np.array_equal(a, accums), (trial, layout)
+            seen.add((layout, None if rows is None else rows.size))
+        kinds.add(weight if weight in (0.0, 1.0) else "other")
+    sizes = (None, *range(1, k + 1))
+    assert seen >= {(layout, q) for layout in ("C", "F", "strided") for q in sizes}
+    assert kinds == {0.0, 1.0, "other"}
+
+
+def test_flat_update_writes_the_learner_tables_in_place():
+    state = LearnerState(3, 6, RadiusSchedule(n=10, d=6, k=3, delta_prob=0.01), mode="online")
+    weights, accums = state.weights, state.accumulators
+    x = sparse_vector([(0, 1.0), (2, -0.5), (5, 0.25)])
+    online_update(state.regressor, x, np.array([0.2, 0.9]), 1.0, np.array([2, 0]))
+    assert state.regressor.weights is weights and state.regressor.accumulators is accums
+    assert np.shares_memory(state.regressor.weights, state.weights)
+    assert np.shares_memory(state.regressor.accumulators, state.accumulators)
+    assert state.weights is weights and state.accumulators is accums
+    squares = [1.0, 0.25, 0.0625]
+    assert np.array_equal(state.accumulators[:, x.indices], [squares, [0.0] * 3, squares])
+    assert not state.weights[1].any() and state.weights[[0, 2]].any()
+
+
+def test_flat_update_refuses_a_feature_past_the_table():
+    # a flat index past its row would land in the next row, so it raises
+    # before any table is touched, as the fancy indexing did
+    g = OnlineRegressor(np.zeros((2, 3)), np.zeros((2, 3)), 0.5)
+    for rows in (np.array([0]), np.array([1]), None):
+        with pytest.raises(IndexError):
+            online_update(g, sparse_vector([(1, 1.0), (3, 1.0)]), np.array([0.5]), 1.0, rows)
+    lone = OnlineRegressor(np.zeros(3), np.zeros(3), 0.5)
+    with pytest.raises(IndexError):
+        online_update(lone, sparse_vector([(3, 1.0)]), 0.5, 1.0)
+    assert not g.weights.any() and not g.accumulators.any() and not lone.accumulators.any()
+
+
 def test_regressor_validation():
     with pytest.raises(ValueError):
         OnlineRegressor(np.zeros(2), np.zeros(3), 0.5)
