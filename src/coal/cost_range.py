@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import RIDGE, LinearRegressor, solve_bounded_least_squares
+from .oracle import FLOAT_MAX, RIDGE, LinearRegressor, solve_bounded_least_squares
 
 DEFAULT_KAPPA = 3.0
 DEFAULT_NORM_BOUND = 10.0
@@ -61,6 +61,9 @@ CERTIFICATE_SLACK = 1e-9  # least weighted overshoot that certifies infeasibilit
 STEP_MARGIN = 1e-9  # relative shortening of the bracket's witness step, for rounding
 ROOT_MAX = 1e154  # a saturated budget's square root stays below it, so its square is finite
 _TARGETS = np.array([[0.0], [1.0]])  # the target of each row of the kernel's (2, K) arrays
+_TOWARD, _AWAY = 1.0 - 2.0 * _TARGETS, 2.0 * _TARGETS - 1.0  # +1 and -1 by row, and -1 and +1
+# 0-d constants, which numpy need not convert on every call, and the lanes' last entries
+_ZERO, _ONE, _ENDS = np.array(0.0), np.array(1.0), np.array([[-1.0], [0.0], [0.0]])
 
 
 @dataclass(frozen=True)
@@ -182,15 +185,22 @@ def mw_iterations(round_i, delta_i, tol, settings=DEFAULT_SETTINGS):
 
 def mw_slack(m_experts, cfg):
     """The average-violation slack s of the module docstring; m_experts = m + 1."""
-    return 2.0 * cfg.rho * math.sqrt(math.log(m_experts) / cfg.t)
+    return _slack(m_experts, cfg.t, cfg.rho)
+
+
+def _slack(m_experts, t, rho):
+    return 2.0 * rho * math.sqrt(math.log(m_experts) / t)
+
+
+def _game_length(m_experts, t):
+    # raise t until eta = sqrt(log m / t) lands at or below 1/2; a lone
+    # expert (log 1 = 0) gets eta = 0 and keeps its t
+    return max(t, math.ceil(4.0 * math.log(m_experts)))
 
 
 def mw_config_for(m_experts, t, rho):
-    # raise t until eta = sqrt(log m / t) lands at or below 1/2; a lone
-    # expert (log 1 = 0) gets eta = 0 and keeps its t
-    t = max(t, math.ceil(4.0 * math.log(m_experts)))
-    eta = min(math.sqrt(math.log(m_experts) / t), 0.5)
-    return MwConfig(t=t, eta=eta, rho=rho)
+    t = _game_length(m_experts, t)
+    return MwConfig(t=t, eta=min(math.sqrt(math.log(m_experts) / t), 0.5), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -249,75 +259,78 @@ class Brackets:
 
     def __init__(self, x, labels, bound):
         block, L, d = labels[0].block, len(labels), x.size
-        self.first_lane = labels[0].lane
-        ends = np.array([label.last_prefix for label in labels])
-        anchors = [label.anchor(bound) for label in labels]
+        self.first_lane, ends = labels[0].lane, [label.last_prefix for label in labels]
+        v = np.empty((3, L, d + 1))  # [anchor; -1], [up; 0] and [x; 0] of each lane
+        v[0, :, :d], v[2, :, :d], v[:, :, d] = [label.anchor(bound) for label in labels], x, _ENDS
         block.fill()
-        self.m = m = np.array([label.n_prefixes for label in labels])
-        count = int(ends.max())
-        self.anchors = anchors = np.array(anchors)
+        self.m, count = [label.n_prefixes for label in labels], max(ends)
+        self.anchors = anchors = v[0, :, :d]
         rows = slice(self.first_lane, self.first_lane + L), slice(1, count + 1)
         stack, inverses, fits, parts = (getattr(block, name)[rows] for name in block.shapes)
         residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts.transpose(2, 0, 1)
-        live = (denoms > 0.0) & (np.arange(1, count + 1) <= ends[:, None])
-        # one product per lane; within a lane the rows are contiguous, so no copy
-        self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
-        leverages = np.maximum(self.directions @ x, 0.0)
-        self.leverage = np.minimum.reduce(denoms * leverages, 1, where=live, initial=np.inf)
-        self.saturated = budgets == np.inf
-        reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
-        self.budgets = budgets = np.where(self.saturated, np.square(reaches), budgets)
-        rho = np.maximum(budgets + RIDGE * (bound + fit_norms) ** 2 - residuals, 0.0)
-        # square roots taken factor by factor, and hypot below, keep every
-        # product within the float range
-        centres, half = fits @ x, np.sqrt(rho) * np.sqrt(leverages)
-        reach = bound * math.sqrt(float(x @ x))
-        lo = np.maximum.reduce(centres - half, 1, where=live, initial=-reach)
-        hi = np.minimum.reduce(centres + half, 1, where=live, initial=reach)
-        self.outer = lo, hi
-        self.c_lo = np.minimum(np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), 0.0) ** 2, 1.0)
-        start = _dots(anchors, x)
-        up = self.directions[np.arange(L), ends - 1] if count else np.tile(x, (L, 1))
-        if 0 in m:
-            up[m == 0] = x
-        v = np.concatenate((anchors, -np.ones((L, 1))), axis=1)
-        dv = np.concatenate((up, np.zeros((L, 1))), axis=1)
-        products = (stack.reshape(L, -1, d + 1) @ v[:, :, None]).reshape(L, count, d + 1)  # A_j v
-        # each quadratic's rows, and the ball's |w|^2 as the last column
-        a, b, room, c = np.empty((4, L, count + 1))
-        a[:, :count], room[:, :count] = (products @ v[:, :, None])[..., 0], budgets
-        b[:, :count] = (products[..., :d] @ up[:, :, None])[..., 0]
-        c[:, :count] = (stack @ (dv[:, :, None] * dv[:, None, :]).reshape(L, -1, 1))[..., 0]
-        a[:, count], b[:, count] = _dots(anchors, anchors), _dots(anchors, up)
-        c[:, count], room[:, count] = _dots(up, up), bound**2
-        room -= a
-        np.maximum(c, 0.0, out=c)
-        live = np.concatenate((live, np.ones((L, 1), dtype=bool)), axis=1)
-        self.broken = np.logical_or.reduce(room < 0.0, 1, where=live)
-        disc = np.hypot(b, np.sqrt(c) * np.sqrt(np.abs(room)))
-        sign = np.copysign(1.0, _TARGETS - start)
-        b = sign[..., None] * b
+        everywhere = np.ones((L, count + 1), dtype=bool)  # with the ball as the last column
+        live = np.greater(denoms, _ZERO, out=everywhere[:, :count])
+        for k, end in enumerate(ends):
+            live[k, end:] = False  # a lane's rows past its last prefix
+        # a leverage past the float range, or NaN from inf - inf, reads as FLOAT_MAX: unbounded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the larger root of c alpha^2 + 2 b alpha = room, in its
-            # cancellation-free form; one past the float range is no limit
-            roots = np.where(b < 0.0, (disc - b) / c, room / (b + disc))
-            limit = np.abs(_TARGETS - start) / np.abs(_dots(up, x))
-        first = np.minimum.reduce(roots, 2, where=live, initial=np.inf)
+            # one product per lane; within a lane the rows are contiguous, so no copy
+            self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
+            leverages = np.maximum(np.fmin(self.directions @ x, FLOAT_MAX), _ZERO)
+            self.leverage = np.minimum.reduce(denoms * leverages, 1, where=live, initial=np.inf)
+            self.saturated, self.budgets = budgets == np.inf, budgets
+            if self.saturated.any():
+                reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
+                self.budgets = budgets = np.where(self.saturated, np.square(reaches), budgets)
+            rho = np.maximum(budgets + RIDGE * np.square(bound + fit_norms) - residuals, _ZERO)
+            # square roots taken factor by factor, and hypot below, keep every
+            # product within the float range
+            centres, half = fits @ x, np.sqrt(rho) * np.sqrt(leverages)
+            reach = bound * math.sqrt(float(x @ x))
+            lo = np.maximum.reduce(centres - half, 1, where=live, initial=-reach)
+            hi = np.minimum.reduce(centres + half, 1, where=live, initial=reach)
+            self.outer = lo, hi
+            gaps = np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), _ZERO)
+            self.c_lo = np.minimum(np.square(gaps), _ONE)
+            up, last = v[1, :, :d], [k * count + end - 1 for k, end in enumerate(ends)]
+            if count:
+                up[...] = self.directions.reshape(-1, d)[last]
+            if 0 in self.m:
+                up[np.array(self.m) == 0] = x
+            # each pair's product through dot, as a lone pair's: start, the
+            # ball's quadratic and the step's move at x
+            dots = np.vecdot(v[:, None, :, :d], v[None, :, :, :d])
+            start = dots[0, 2]
+            products = (stack.reshape(L, -1, d + 1) @ v[0, :, :, None]).reshape(L, count, d + 1)
+            # each quadratic's rows, and the ball's |w|^2 as the last column
+            a, b, room, c = np.empty((4, L, count + 1))
+            a[:, :count], room[:, :count] = (products @ v[0, :, :, None])[..., 0], budgets
+            b[:, :count] = (products[..., :d] @ up[:, :, None])[..., 0]
+            outer = (v[1, :, :, None] * v[1, :, None, :]).reshape(L, -1, 1)
+            c[:, :count] = (stack @ outer)[..., 0]
+            a[:, count], b[:, count], c[:, count] = dots[0, 0], dots[0, 1], dots[1, 1]
+            room[:, count] = bound**2
+            room -= a
+            np.maximum(c, _ZERO, out=c)
+            self.broken = np.logical_or.reduce(room < _ZERO, 1, where=everywhere)
+            disc = np.hypot(b, np.sqrt(c) * np.sqrt(np.abs(room)))
+            sign = np.copysign(_ONE, _TARGETS - start)
+            # the larger root of c alpha^2 + 2 sign b alpha = room, in its
+            # cancellation-free forms: (disc + |b|) / c where sign b < 0, else
+            # room / (disc + |b|); one past the float range is no limit
+            far = disc + np.abs(b)
+            roots = np.where(sign[..., None] * b < _ZERO, far / c, room / far)
+            limit = np.abs(_TARGETS - start) / np.abs(dots[1, 2])
+        first = np.minimum.reduce(roots, 2, where=everywhere, initial=np.inf)
         alpha = np.where(limit < first, limit, first)
         # nan: a row at its budget with no slope; inf: x = 0, no step moves
         # the prediction. Either way the witness is the anchor.
-        alpha = np.where(np.isfinite(alpha), alpha, 0.0)
+        alpha = np.where(np.isfinite(alpha), alpha, _ZERO)
         self.witness = anchors + (alpha * (1.0 - STEP_MARGIN))[..., None] * (sign[..., None] * up)
-        reached = (self.witness[..., None, :] @ x)[..., 0]
-        c_hi = np.minimum(np.maximum((reached - _TARGETS) ** 2, self.c_lo), 1.0)
-        self.c_hi = np.where(self.broken, 1.0, c_hi)
+        reached = np.vecdot(self.witness, x)
+        c_hi = np.minimum(np.maximum(np.square(reached - _TARGETS), self.c_lo), _ONE)
+        self.c_hi = np.where(self.broken, _ONE, c_hi)
         self.side = np.where(self.broken, start, reached)
-
-
-def _dots(u, v):
-    """Each row pair's product through dot, as a lone pair's: the anchor's
-    decide the ball's room and the side of the start."""
-    return (u[:, None, :] @ v[..., None])[:, 0, 0]
 
 
 class RangeProblem:
@@ -422,13 +435,12 @@ def _estimates(c_lo, c_hi, side, slack, leverage, x, bound):
     unbounded and unused). The guess measures |prediction - t|, which cannot
     tell a space just short of the target from one just past it; side pins
     it, and a space past the target saturates the clamped cost at t."""
-    with np.errstate(over="ignore"):  # a product past the float range is inf, capped below
-        geom = np.multiply(slack, leverage, out=np.zeros(np.shape(c_lo)), where=slack > 0.0)
-    geom = np.minimum(np.sqrt(geom), 2.0 * bound * math.sqrt(float(x @ x)))
-    t = _TARGETS
-    near = t + (1 - 2 * t) * np.sqrt(c_lo)  # sqrt(c_lo) from t = 0, 1 - sqrt(c_lo) from t = 1
-    value = np.where(side * (2 * t - 1) > t, t, near)  # side < 0, or side > 1
-    return np.minimum(np.maximum(value, 0.0), 1.0), np.sqrt((c_hi - c_lo) + slack) + geom
+    # in Python floats, whose product past the float range is inf, capped at the ball's reach
+    reach, leverage = 2.0 * bound * math.sqrt(float(x @ x)), leverage.tolist()
+    geom = [min(math.sqrt(s * v), reach) if s > 0.0 else 0.0 for s, v in zip(slack, leverage)]
+    near = _TARGETS + _TOWARD * np.sqrt(c_lo)  # sqrt(c_lo) from t = 0, 1 - sqrt(c_lo) from t = 1
+    value = np.where(side * _AWAY > _TARGETS, _TARGETS, near)  # side < 0, or side > 1
+    return np.minimum(np.maximum(value, _ZERO), _ONE), np.sqrt((c_hi - c_lo) + slack) + geom
 
 
 def _searches(x, labels, tol, round_i, delta_i, rho, bound, settings):
@@ -443,15 +455,16 @@ def _searches(x, labels, tol, round_i, delta_i, rho, bound, settings):
     dense = x.to_dense(labels[0].dim)
     lanes = Brackets(dense, labels, bound)
     t_budget = mw_iterations(round_i, delta_i, tol, settings)
-    counts = lanes.m.tolist()
-    cfgs = [mw_config_for(m + 1, t_budget, rho) for m in counts]
-    slack = np.array([mw_slack(m + 1, cfg) for m, cfg in zip(counts, cfgs)])
+    counts = lanes.m
+    # a closed search needs only its game's slack, mw_slack's, without a config
+    slack = [_slack(m + 1, _game_length(m + 1, t_budget), rho) for m in counts]
     ends = np.array((lanes.c_lo, lanes.c_hi, lanes.side))  # every search's (c_lo, c_hi, side)
     problems = {}
     for t, k in zip(*np.nonzero(ends[1] - ends[0] > tol * tol / 2.0)):
         if k not in problems:
             problems[k] = RangeProblem(x, labels[k], bound, lanes)
-        ends[:, t, k] = _bisect_cost(int(t), problems[k], *ends[:, t, k], tol, cfgs[k], settings)
+        cfg = mw_config_for(counts[k] + 1, t_budget, rho)
+        ends[:, t, k] = _bisect_cost(int(t), problems[k], *ends[:, t, k], tol, cfg, settings)
     return _estimates(*ends, slack, lanes.leverage, dense, bound)
 
 

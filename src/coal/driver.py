@@ -27,7 +27,7 @@ from .cost_range import (
     radius,
 )
 from .data import QueryLog, SparseVector
-from .oracle import LabelState, LinearRegressor, PrefixBlock, refit
+from .oracle import LabelState, PrefixBlock, record_round
 from .online import OnlineRegressor, batch_cost_ranges, online_update
 
 POLICIES = ("coal", "passive", "allornone", "nodom")
@@ -183,12 +183,13 @@ def observe_costs(state, x, decision, costs):
     """Fold queried costs into the state and close the round.
 
     Updates the queried rows of the online tables in one call (online mode)
-    and records the query log; when the ledger is tracked, appends the query
-    history, refits each label's ERM for the risk ledger and, in exact mode,
-    stores it as that label's predictor. Advances the round counter. Raises
-    ContractError, before changing anything, if the decision is stale,
-    queries a label twice or outside 1..K, or queries a cost that is
-    unobserved.
+    and records the query log; when the ledger is tracked, appends each
+    queried point, then closes the ledger with one operation per quantity
+    over the labels (oracle.record_round: refits, norm check, risks, entries)
+    and, in exact mode, stores the fits as the predictor. Advances the round
+    counter. Raises ContractError, before changing anything, if the decision
+    is stale, queries a label twice or outside 1..K, or queries a cost that
+    is unobserved.
     """
     if decision.round != state.round:
         raise ContractError(f"decision from round {decision.round} applied at round {state.round}")
@@ -209,15 +210,9 @@ def observe_costs(state, x, decision, costs):
         for y in queried:
             state.labels[y - 1].append_point(i, x, costs.cost_of(y))
         delta_next = radius(i + 1, state.schedule)
-        refit(state.labels, i + 1, state.norm_bound)
-        for idx, label_state in enumerate(state.labels):
-            weights = LinearRegressor(
-                label_state.erm_weights(i + 1, state.norm_bound), state.norm_bound
-            ).weights
-            if state.mode == "exact":
-                state.weights[idx] = weights
-            risk = label_state.risk_of_weights(weights, i + 1)
-            label_state.append_ledger(i + 1, risk, delta_next)
+        fits = record_round(state.labels, i + 1, delta_next, state.norm_bound)
+        if state.mode == "exact":
+            state.weights[:] = fits
 
     state.round += 1
     return state

@@ -9,9 +9,11 @@ of w. A learner's labels share one PrefixBlock: LabelState writes row c of
 its label's lane once, as the sum of the first c points, and the block
 caches at each deduplicated ledger prefix's row all that coal.cost_range
 reads of it. Each label memoises its last ERM fit, which the ledger and the
-next round's cost ranges read. refit alone solves these fits: it fills the
-memos of a round's queried labels with one stacked solve, and erm_weights
-calls it for one label on a miss. Regressors are linear with an L2 norm
+next round's cost ranges read; refit alone solves these fits, and
+erm_weights calls it for one label on a miss. After a round, record_round
+does each quantity once over the lanes: one stacked refit, one norm check,
+every risk in one product (risk_of_weights' form over the lanes) and each
+ledger entry at its label's point count. Regressors are linear with an L2 norm
 bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
@@ -177,32 +179,30 @@ class PrefixBlock:
                 setattr(self, name, grown)
 
     def fill(self):
-        new = [
-            (k, label._table[j])
-            for k, label in enumerate(self.labels)
-            for j in range(self.filled[k] + 1, label.n_prefixes + 1)
-        ]
-        if not new:
+        lanes, new = [], []
+        for k, (label, done) in enumerate(zip(self.labels, self.filled)):
+            if label.n_prefixes > done:
+                new.append(label._table[done + 1 : label.n_prefixes + 1])
+                lanes += [k] * len(new[-1])
+        if not lanes:
             return
-        n, d = len(new), self.dim
-        table = np.array([entry for _, entry in new])
-        lanes, rows = [k for k, _ in new], table[:, 1].astype(np.intp)
-        self.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
+        table, lanes, n, d = np.concatenate(new), np.array(lanes), len(lanes), self.dim
+        rows = table[:, 1].astype(np.intp)
+        if rows.max() >= self.parts.shape[1]:  # the caches grow together
+            self.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
         aug = self.stack[lanes, rows].reshape(n, d + 1, d + 1)
-        eye = np.eye(d)
-        rhs = np.empty((n, d, d + 1))
-        rhs[:, :, :d], rhs[:, :, d] = eye, aug[:, :d, d]
-        h = rhs[:, :, d]
+        rhs, grams = np.zeros((n, d, d + 1)), aug[:, :d, :d].copy()
+        rhs.reshape(n, -1)[:, :: d + 2], rhs[:, :, d] = 1.0, aug[:, :d, d]  # [I | h]
+        grams.reshape(n, -1)[:, :: d + 1] += RIDGE  # G_eps
         # regularised, not a pseudo-inverse: a probe off the span of a
         # prefix's points must read as unbounded leverage under that prefix
-        solved = np.linalg.solve(aug[:, :d, :d] + RIDGE * eye, rhs)  # [G_eps^-1 | fit]
-        self.inverses[lanes, rows] = solved[:, :, :d]
-        self.fits[lanes, rows] = solved[:, :, d]
-        fits = self.fits[lanes, rows]  # contiguous rows round their norms as one row does
+        solved = np.linalg.solve(grams, rhs)  # [G_eps^-1 | fit]
+        fits = np.ascontiguousarray(solved[:, :, d])  # rounds its norms as a lone row does
+        self.inverses[lanes, rows], self.fits[lanes, rows] = solved[:, :, :d], fits
         denoms, budgets = table[:, 0] - 1.0, table[:, 2]
         scaled = np.full(n, np.inf)
         np.multiply(budgets, denoms, out=scaled, where=budgets <= FLOAT_MAX / 2.0 / denoms)
-        residuals = aug[:, d, d] - np.einsum("bi,bi->b", h, fits)
+        residuals = aug[:, d, d] - np.einsum("bi,bi->b", rhs[:, :, d], fits)
         fit_norms = np.sqrt(np.einsum("bi,bi->b", fits, fits))
         diagonal = aug.reshape(n, -1)[:, :: d + 2]  # G's diagonal and s
         roots = np.sqrt(diagonal[:, :d].sum(axis=1)), np.sqrt(diagonal[:, d])
@@ -230,8 +230,9 @@ class LabelState:
         self.ledger = []
         # row j: (round, count, budget, radius) of ledger prefix j, the
         # earliest entry per distinct point count, the binding one (later
-        # rounds only relax it); row 0 is the empty prefix's zeros
-        self._table, self.n_prefixes = np.zeros((1, 4)), 0
+        # rounds only relax it); row 0 is the empty prefix's zeros, and
+        # last_prefix the point count of row n_prefixes
+        self._table, self.n_prefixes, self.last_prefix = np.zeros((1, 4)), 0, 0
         self.block = PrefixBlock(dim) if block is None else block
         self.lane = self.block.join(self)
         self._fit = (None,) * 3  # memo: (count, bound, weights), written by refit alone
@@ -240,20 +241,16 @@ class LabelState:
     def n_points(self):
         return len(self.rounds)
 
-    @property
-    def last_prefix(self):
-        """The point count of the largest ledger prefix, 0 without one."""
-        return int(self._table[self.n_prefixes, 1])
-
     def append_point(self, round_i, x, cost):
         if self.rounds and round_i <= self.rounds[-1]:
             raise ValueError("query rounds must be strictly increasing")
         if not 0.0 <= cost <= 1.0:
             raise ValueError(f"cost {cost} outside [0, 1]")
-        u = np.append(x.to_dense(self.dim), cost)
-        n = self.n_points
+        n, d, u = len(self.rounds), self.dim, np.empty(self.dim + 1)
+        u[:d], u[d] = x.to_dense(d), cost
         self.block.reserve(("stack",), n + 2)
-        np.add(self.prefix_row(n), u[:, None] * u, out=self.prefix_row(n + 1))
+        lane = self.block.stack[self.lane]
+        np.add(lane[n], (u[:, None] * u).ravel(), out=lane[n + 1])
         self.rounds.append(round_i)
 
     def n_points_before(self, round_j):
@@ -306,13 +303,15 @@ class LabelState:
             raise ValueError("risk and radius must be nonnegative")
         entry = LedgerEntry(round_j, erm_risk + delta)
         self.ledger.append(entry)
-        count = self.n_points_before(round_j)
+        # after a round every point lies before round_j: no search
+        last = not self.rounds or self.rounds[-1] < round_j
+        count = self.n_points if last else self.n_points_before(round_j)
         m = self.n_prefixes
         if count > self.last_prefix:
             if m + 1 == len(self._table):  # double the capacity
                 self._table = np.resize(self._table, (2 * m + 2, 4))
             self._table[m + 1] = round_j, count, entry.delta_tilde, delta
-            self.n_prefixes = m + 1
+            self.n_prefixes, self.last_prefix = m + 1, count
         return entry
 
     def prefix_cache(self):
@@ -345,9 +344,30 @@ def refit(labels, round_j, bound):
     stale = [(label, label.n_points_before(round_j)) for label in labels]
     stale = [(label, count) for label, count in stale if label._fit[:2] != (count, bound)]
     if stale:
-        d = labels[0].dim
-        rows = np.array([label.prefix_row(count) for label, count in stale])
+        d, lanes = labels[0].dim, [label.lane for label, _ in stale]
+        rows = labels[0].block.stack[lanes, [c for _, c in stale]].reshape(-1, d + 1, d + 1)
         fits = solve_bounded_least_squares(rows[:, :d, :d], rows[:, :d, d], bound)
         fits.flags.writeable = False  # each memo is a read-only row of it
         for (label, count), weights in zip(stale, fits):
             label._fit = (count, bound, weights)
+
+
+def record_round(labels, round_j, delta, bound):
+    """Close a round of a tracked ledger over labels, a learner's lanes, whose
+    points all lie before round_j: refit, check the fits' norms, take their
+    risks in one product and append each entry at its label's point count.
+    Returns the (K, dim) fits."""
+    refit(labels, round_j, bound)
+    fits, d = np.array([label._fit[2] for label in labels]), labels[0].dim
+    norms = np.sqrt(np.vecdot(fits, fits))  # np.linalg.norm's dot, row by row
+    if bound < 0 or norms.max() > bound + 1e-8:
+        LinearRegressor(fits[norms.argmax()], bound)  # raises the fit's own error
+    lanes, counts = [label.lane for label in labels], [label.n_points for label in labels]
+    rows = labels[0].block.stack[lanes, counts].reshape(-1, d + 1, d + 1)
+    v = np.empty((len(labels), d + 1))
+    v[:, :d], v[:, d] = fits, -1.0
+    # risk_of_weights' v @ row @ v over the lanes: each lane's products round as a lone row's
+    risks = np.maximum(((v[:, None, :] @ rows) @ v[:, :, None])[:, 0, 0], 0.0) / (round_j - 1)
+    for label, risk in zip(labels, risks.tolist()):
+        label.append_ledger(round_j, risk, delta)
+    return fits

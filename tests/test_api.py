@@ -79,6 +79,9 @@ ATTRIBUTE_REFERENCES = {
     "CostInterval.width",
     "GroundTruth.true_costs",
     "LabelState.constraint_view",
+    # the one-label form of the risk formula; a round takes every label's
+    # risk through oracle.record_round's one product over the lanes
+    "LabelState.risk_of_weights",
     "QueryDecision.intervals",
     "SparseVector.dot",
 }

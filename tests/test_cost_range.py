@@ -165,6 +165,46 @@ def test_mw_iterations_formula_and_cap():
     assert mw_iterations(3, 0.001, 0.1, custom) == 50
 
 
+class _Lanes:
+    """A stand-in round kernel for _searches: lane k holds k ledger prefixes,
+    k = 0..300, and every seventh search is left open."""
+
+    def __init__(self, x, labels, bound):
+        k = len(labels)
+        self.m, self.side, self.c_lo = list(range(k)), np.zeros((2, k)), np.zeros((2, k))
+        self.c_hi, self.leverage = (np.arange(2 * k).reshape(2, k) % 7 == 0) * 1.0, np.ones(k)
+
+
+def test_every_search_takes_its_games_slack(monkeypatch):
+    # A closed search's slack comes without its game's MwConfig, and an open
+    # one plays mw_config_for's game; either way the slack that reaches its
+    # tol is mw_slack(m + 1, mw_config_for(m + 1, t, rho)) bit for bit (it
+    # takes math.log, which np.log is not). t covers every budget up to 64,
+    # past ceil(4 log 301) = 23 where mw_config_for raises it, then every
+    # 97th up to t_max.
+    from coal import cost_range
+
+    games, slacks = [], []
+    monkeypatch.setattr(cost_range, "Brackets", _Lanes)
+    monkeypatch.setattr(cost_range, "RangeProblem", lambda x, label, bound, lanes: label)
+    monkeypatch.setattr(
+        cost_range, "_bisect_cost", lambda t, lane, *ends: games.append(ends[4]) or ends[:3]
+    )
+    monkeypatch.setattr(cost_range, "_estimates", lambda *args: slacks.append(args[3]))
+    labels = [LabelState(1, 1)] * 301
+    t_max = MwSettings().t_max
+    for rho in (1e-3, 3.0, 1e3):
+        for t in [*range(1, 65), *range(65, t_max, 97), t_max]:
+            games.clear()
+            # at so small a radius the budget is t_max's
+            cost_range._searches(X1, labels, 0.1, 2, 1e-300, rho, 10.0, MwSettings(t_max=t))
+            cfgs = [mw_config_for(m + 1, t, rho) for m in range(301)]
+            want = [mw_slack(m + 1, cfg) for m, cfg in enumerate(cfgs)]
+            assert list(slacks.pop()) == want, (rho, t)
+            opened = [k for row in (0, 1) for k in range(301) if (301 * row + k) % 7 == 0]
+            assert games == [cfgs[k] for k in opened], (rho, t)
+
+
 def test_cost_interval_invariants():
     CostInterval(0.2, 0.1, tol=0.06)  # inverted within 2*tol is allowed
     with pytest.raises(ValueError):

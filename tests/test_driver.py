@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,13 @@ from coal.driver import (
     psi,
 )
 from coal.online import OnlineRegressor
+from coal.oracle import (
+    RIDGE,
+    LabelState,
+    LedgerEntry,
+    LinearRegressor,
+    solve_bounded_least_squares,
+)
 from coal.synthetic import gen_stream, massart
 
 BIAS = sparse_vector([(0, 1.0)])
@@ -410,6 +418,139 @@ def test_exact_weights_are_the_refit_erms():
             erm = label_state.erm_weights(state.round, state.norm_bound)
             assert np.array_equal(state.weights[y], erm)
     assert state.weights.any()
+
+
+def reference_append_point(label, round_i, x, cost):
+    """LabelState.append_point as it was: np.append, then a sum of reshaped rows."""
+    u = np.append(x.to_dense(label.dim), cost)
+    n = label.n_points
+    label.block.reserve(("stack",), n + 2)
+    np.add(label.prefix_row(n), u[:, None] * u, out=label.prefix_row(n + 1))
+    label.rounds.append(round_i)
+
+
+def reference_fill(block):
+    """PrefixBlock.fill as it was: the new prefixes packed row by row, np.eye's ridge."""
+    new = [
+        (k, label._table[j])
+        for k, label in enumerate(block.labels)
+        for j in range(block.filled[k] + 1, label.n_prefixes + 1)
+    ]
+    if not new:
+        return
+    n, d = len(new), block.dim
+    table = np.array([entry for _, entry in new])
+    lanes, rows = [k for k, _ in new], table[:, 1].astype(np.intp)
+    block.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
+    aug = block.stack[lanes, rows].reshape(n, d + 1, d + 1)
+    eye = np.eye(d)
+    rhs = np.empty((n, d, d + 1))
+    rhs[:, :, :d], rhs[:, :, d] = eye, aug[:, :d, d]
+    h = rhs[:, :, d]
+    solved = np.linalg.solve(aug[:, :d, :d] + RIDGE * eye, rhs)
+    block.inverses[lanes, rows] = solved[:, :, :d]
+    block.fits[lanes, rows] = solved[:, :, d]
+    fits = block.fits[lanes, rows]
+    denoms, budgets = table[:, 0] - 1.0, table[:, 2]
+    scaled = np.full(n, np.inf)
+    np.multiply(budgets, denoms, out=scaled, where=budgets <= sys.float_info.max / 2.0 / denoms)
+    residuals = aug[:, d, d] - np.einsum("bi,bi->b", h, fits)
+    fit_norms = np.sqrt(np.einsum("bi,bi->b", fits, fits))
+    diagonal = aug.reshape(n, -1)[:, :: d + 2]
+    roots = np.sqrt(diagonal[:, :d].sum(axis=1)), np.sqrt(diagonal[:, d])
+    block.parts[lanes, rows] = np.array((residuals, fit_norms, denoms, scaled, *roots)).T
+    block.filled = [label.n_prefixes for label in block.labels]
+
+
+def reference_refit(labels, round_j, bound):
+    """oracle.refit as it was: the stale labels' rows stacked one by one."""
+    stale = [(label, label.n_points_before(round_j)) for label in labels]
+    stale = [(label, count) for label, count in stale if label._fit[:2] != (count, bound)]
+    if stale:
+        d = labels[0].dim
+        rows = np.array([label.prefix_row(count) for label, count in stale])
+        fits = solve_bounded_least_squares(rows[:, :d, :d], rows[:, :d, d], bound)
+        for (label, count), weights in zip(stale, fits):
+            label._fit = (count, bound, weights)
+
+
+def reference_append_ledger(label, round_j, erm_risk, delta):
+    """LabelState.append_ledger as it was: the prefix's count by bisection."""
+    entry = LedgerEntry(round_j, erm_risk + delta)
+    label.ledger.append(entry)
+    count, m = label.n_points_before(round_j), label.n_prefixes
+    if count > label.last_prefix:
+        if m + 1 == len(label._table):
+            label._table = np.resize(label._table, (2 * m + 2, 4))
+        label._table[m + 1] = round_j, count, entry.delta_tilde, delta
+        label.n_prefixes, label.last_prefix = m + 1, count
+
+
+def reference_observe(state, x, decision, costs, risks):
+    """observe_costs with the tracked ledger kept one label at a time, as it
+    was: each point, then per label the fit's norm checked by a
+    LinearRegressor, its risk v @ row @ v at a bisected count, and
+    append_ledger's own bisection. Each risk goes to risks."""
+    state.track_exact_ledger = False
+    observe_costs(state, x, decision, costs)  # the checks, the online update, the log, the round
+    state.track_exact_ledger, i, bound = True, state.round - 1, state.norm_bound
+    for y in decision.to_query:
+        reference_append_point(state.labels[y - 1], i, x, costs.cost_of(y))
+    delta_next = radius(i + 1, state.schedule)
+    reference_refit(state.labels, i + 1, bound)
+    for idx, label in enumerate(state.labels):
+        weights = LinearRegressor(label.erm_weights(i + 1, bound), bound).weights
+        if state.mode == "exact":
+            state.weights[idx] = weights
+        k, v = label.n_points_before(i + 1), np.append(weights, -1.0)
+        risks.append(max(float(v @ label.prefix_row(k) @ v), 0.0) / i if k else 0.0)
+        reference_append_ledger(label, i + 1, risks[-1], delta_next)
+
+
+@pytest.mark.parametrize("noise", ["none", "bernoulli"])
+@pytest.mark.parametrize("mode", ["exact", "online"])
+@pytest.mark.parametrize(
+    "k, d", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (2, 6), (3, 7), (4, 8), (5, 9)]
+)
+def test_bookkeeping_in_lanes_matches_the_label_by_label_loop(monkeypatch, k, d, mode, noise):
+    # observe_costs keeps a tracked ledger with one operation per quantity
+    # over the labels, and PrefixBlock.fill writes the new prefixes' caches
+    # without packing them row by row. Played side by side with the loops
+    # they replace, every stack row, prefix cache, ledger table and entry,
+    # memoised fit, risk and weight table is the same, bit for bit. The
+    # stream's features are cut to their first d.
+    risks = [], []
+
+    def record(label, round_j, erm_risk, delta, append=LabelState.append_ledger):
+        risks[0].append(erm_risk)
+        return append(label, round_j, erm_risk, delta)
+
+    monkeypatch.setattr(LabelState, "append_ledger", record)
+    n = 30
+    stream, _ = gen_stream(k, 9, massart(0.3), n, seed=10 * k + d, cost_noise=noise)
+    schedule = mellow_schedule(n=n, d=d, k=k, mellowness=0.01)
+    new, old = (LearnerState(k, d, schedule, mode=mode, track_exact_ledger=True) for _ in "ab")
+    blocks = new.labels[0].block, old.labels[0].block
+    blocks[1].fill = lambda: reference_fill(blocks[1])
+    for ex in stream:
+        x = sparse_vector([(j, v) for j, v in ex.features.pairs() if j < d])
+        decisions = process_example(new, x), process_example(old, x)
+        assert all(map(np.array_equal, *((a.lo, a.hi, a.tol) for a in decisions)))
+        observe_costs(new, x, decisions[0], ex.costs)
+        reference_observe(old, x, decisions[1], ex.costs, risks[1])
+        assert np.array_equal(new.weights, old.weights)
+        for name in blocks[0].shapes:
+            assert np.array_equal(*(getattr(block, name) for block in blocks)), name
+        for a, b in zip(new.labels, old.labels):
+            assert (a.n_prefixes, a.last_prefix) == (b.n_prefixes, b.last_prefix)
+            assert a.rounds == b.rounds
+            assert np.array_equal(a._table[: a.n_prefixes + 1], b._table[: b.n_prefixes + 1])
+            assert [(e.round, e.delta_tilde) for e in a.ledger] == [
+                (e.round, e.delta_tilde) for e in b.ledger
+            ]
+            assert a._fit[:2] == b._fit[:2] and np.array_equal(a._fit[2], b._fit[2])
+        assert risks[0] == risks[1]
+    assert new.log.l2 > 0 and min(label.n_prefixes for label in new.labels) > 0
 
 
 @pytest.mark.parametrize(

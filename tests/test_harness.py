@@ -729,6 +729,49 @@ def test_cli_runs_extreme_settings_without_a_runtime_warning(mode, setting):
     assert proc.stderr == "" and "auc median" in proc.stdout
 
 
+def huge_feature_file(tmp_path, value):
+    """40 two-label lines `1:a 2:1-a | 1:x 2:0.5` (a uniform in [0, 1], x in
+    [0.1, 1], drawn with random.seed(0)) whose sixth line has x = value."""
+    import random
+
+    random.seed(0)
+    lines = []
+    for n in range(40):
+        a, x = random.random(), random.uniform(0.1, 1)
+        lines.append(f"1:{a!r} 2:{1 - a!r} | 1:{value if n == 5 else x!r} 2:0.5\n")
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("value", [1e149, 1e152])
+def test_exact_mode_runs_features_whose_leverage_overflows(tmp_path, monkeypatch, value):
+    # the probe's leverage x'G_eps^-1 x passes the float range here: it
+    # used to exit 1 on "overflow encountered in matmul"; a leverage past
+    # the range reads as unbounded, and 0 * inf makes no NaN
+    data = huge_feature_file(tmp_path, value)
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "coal.cli", "--data", str(data)]
+        + ["--mode", "exact", "--seeds", "1", "--out", ""],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(float(re.search(r"auc median (\S+)", proc.stdout).group(1)))
+    decisions, process = [], driver.process_example
+    monkeypatch.setattr(
+        "coal.harness.process_example", lambda *a: decisions.append(process(*a)) or decisions[-1]
+    )
+    table = run_experiment(ExperimentConfig(dataset=str(data), mode="exact", seeds=1, out_dir=""))
+    assert math.isfinite(table.summary["auc_median"])
+    ends, tols = np.array([(d.lo, d.hi) for d in decisions]), np.array([d.tol for d in decisions])
+    assert len(ends) == 32 and ((ends >= 0.0) & (ends <= 1.0)).all()
+    assert not np.isnan(tols).any()
+
+
 def test_cli_runs_a_tiny_mellowness_in_exact_mode():
     # the game budget (12 / Delta)^2 used to raise OverflowError; it saturates at t_max
     proc = run_cli_warnings_as_errors("--mode", "exact", "--mellowness", "1e-300")
