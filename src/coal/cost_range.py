@@ -61,9 +61,11 @@ CERTIFICATE_SLACK = 1e-9  # least weighted overshoot that certifies infeasibilit
 STEP_MARGIN = 1e-9  # relative shortening of the bracket's witness step, for rounding
 ROOT_MAX = 1e154  # a saturated budget's square root stays below it, so its square is finite
 _TARGETS = np.array([[0.0], [1.0]])  # the target of each row of the kernel's (2, K) arrays
-_TOWARD, _AWAY = 1.0 - 2.0 * _TARGETS, 2.0 * _TARGETS - 1.0  # +1 and -1 by row, and -1 and +1
-# 0-d constants, which numpy need not convert on every call, and the lanes' last entries
+_TOWARD = 1.0 - 2.0 * _TARGETS  # +1 and -1 by row: from each target toward the other
+# 0-d constants, which numpy need not convert on every call, the lanes' last entries,
+# and the kernel's dot pairs: start, the ball's quadratic a, b, c and the step's move at x
 _ZERO, _ONE, _ENDS = np.array(0.0), np.array(1.0), np.array([[-1.0], [0.0], [0.0]])
+_LEFT, _RIGHT = np.array([0, 0, 0, 1, 1]), np.array([2, 0, 1, 1, 2])
 
 
 @dataclass(frozen=True)
@@ -185,22 +187,19 @@ def mw_iterations(round_i, delta_i, tol, settings=DEFAULT_SETTINGS):
 
 def mw_slack(m_experts, cfg):
     """The average-violation slack s of the module docstring; m_experts = m + 1."""
-    return _slack(m_experts, cfg.t, cfg.rho)
+    return 2.0 * cfg.rho * math.sqrt(math.log(m_experts) / cfg.t)
 
 
-def _slack(m_experts, t, rho):
-    return 2.0 * rho * math.sqrt(math.log(m_experts) / t)
-
-
-def _game_length(m_experts, t):
-    # raise t until eta = sqrt(log m / t) lands at or below 1/2; a lone
-    # expert (log 1 = 0) gets eta = 0 and keeps its t
-    return max(t, math.ceil(4.0 * math.log(m_experts)))
+def _game(m_experts, t):
+    """A game's length and sqrt(log m / t): t raised until that lands at or
+    below 1/2; a lone expert (log 1 = 0) gets 0 and keeps its t."""
+    t = max(t, math.ceil(4.0 * math.log(m_experts)))
+    return t, math.sqrt(math.log(m_experts) / t)
 
 
 def mw_config_for(m_experts, t, rho):
-    t = _game_length(m_experts, t)
-    return MwConfig(t=t, eta=min(math.sqrt(math.log(m_experts) / t), 0.5), rho=rho)
+    t, eta = _game(m_experts, t)
+    return MwConfig(t=t, eta=min(eta, 0.5), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -270,18 +269,19 @@ class Brackets:
         residuals, fit_norms, denoms, budgets, trace_roots, cost_roots = parts.transpose(2, 0, 1)
         everywhere = np.ones((L, count + 1), dtype=bool)  # with the ball as the last column
         live = np.greater(denoms, _ZERO, out=everywhere[:, :count])
-        for k, end in enumerate(ends):
-            live[k, end:] = False  # a lane's rows past its last prefix
         # a leverage past the float range, or NaN from inf - inf, reads as FLOAT_MAX: unbounded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # one product per lane; within a lane the rows are contiguous, so no copy
             self.directions = (inverses.reshape(L, -1, d) @ x).reshape(L, count, d)
+            up = v[1, :, :d]  # the step: the last prefix's direction, x without a prefix
+            for k, end in enumerate(ends):
+                live[k, end:] = False  # a lane's rows past its last prefix
+                up[k] = self.directions[k, end - 1] if end else x
             leverages = np.maximum(np.fmin(self.directions @ x, FLOAT_MAX), _ZERO)
             self.leverage = np.minimum.reduce(denoms * leverages, 1, where=live, initial=np.inf)
-            self.saturated, self.budgets = budgets == np.inf, budgets
-            if self.saturated.any():
-                reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
-                self.budgets = budgets = np.where(self.saturated, np.square(reaches), budgets)
+            self.saturated = budgets == np.inf
+            reaches = np.minimum(bound * trace_roots + cost_roots, ROOT_MAX)
+            self.budgets = budgets = np.where(self.saturated, np.square(reaches), budgets)
             rho = np.maximum(budgets + RIDGE * np.square(bound + fit_norms) - residuals, _ZERO)
             # square roots taken factor by factor, and hypot below, keep every
             # product within the float range
@@ -292,15 +292,9 @@ class Brackets:
             self.outer = lo, hi
             gaps = np.maximum(np.maximum(lo - _TARGETS, _TARGETS - hi), _ZERO)
             self.c_lo = np.minimum(np.square(gaps), _ONE)
-            up, last = v[1, :, :d], [k * count + end - 1 for k, end in enumerate(ends)]
-            if count:
-                up[...] = self.directions.reshape(-1, d)[last]
-            if 0 in self.m:
-                up[np.array(self.m) == 0] = x
-            # each pair's product through dot, as a lone pair's: start, the
-            # ball's quadratic and the step's move at x
-            dots = np.vecdot(v[:, None, :, :d], v[None, :, :, :d])
-            start = dots[0, 2]
+            # each pair's product through dot, as a lone pair's
+            pairs = np.vecdot(v.take(_LEFT, 0)[..., :d], v.take(_RIGHT, 0)[..., :d])
+            start = pairs[0]
             products = (stack.reshape(L, -1, d + 1) @ v[0, :, :, None]).reshape(L, count, d + 1)
             # each quadratic's rows, and the ball's |w|^2 as the last column
             a, b, room, c = np.empty((4, L, count + 1))
@@ -308,7 +302,7 @@ class Brackets:
             b[:, :count] = (products[..., :d] @ up[:, :, None])[..., 0]
             outer = (v[1, :, :, None] * v[1, :, None, :]).reshape(L, -1, 1)
             c[:, :count] = (stack @ outer)[..., 0]
-            a[:, count], b[:, count], c[:, count] = dots[0, 0], dots[0, 1], dots[1, 1]
+            a[:, count], b[:, count], c[:, count] = pairs[1:4]
             room[:, count] = bound**2
             room -= a
             np.maximum(c, _ZERO, out=c)
@@ -320,7 +314,7 @@ class Brackets:
             # room / (disc + |b|); one past the float range is no limit
             far = disc + np.abs(b)
             roots = np.where(sign[..., None] * b < _ZERO, far / c, room / far)
-            limit = np.abs(_TARGETS - start) / np.abs(dots[1, 2])
+            limit = np.abs(_TARGETS - start) / np.abs(pairs[4])
         first = np.minimum.reduce(roots, 2, where=everywhere, initial=np.inf)
         alpha = np.where(limit < first, limit, first)
         # nan: a row at its budget with no slope; inf: x = 0, no step moves
@@ -439,7 +433,7 @@ def _estimates(c_lo, c_hi, side, slack, leverage, x, bound):
     reach, leverage = 2.0 * bound * math.sqrt(float(x @ x)), leverage.tolist()
     geom = [min(math.sqrt(s * v), reach) if s > 0.0 else 0.0 for s, v in zip(slack, leverage)]
     near = _TARGETS + _TOWARD * np.sqrt(c_lo)  # sqrt(c_lo) from t = 0, 1 - sqrt(c_lo) from t = 1
-    value = np.where(side * _AWAY > _TARGETS, _TARGETS, near)  # side < 0, or side > 1
+    value = np.where(side * _TOWARD < -_TARGETS, _TARGETS, near)  # side < 0, or side > 1
     return np.minimum(np.maximum(value, _ZERO), _ONE), np.sqrt((c_hi - c_lo) + slack) + geom
 
 
@@ -455,15 +449,14 @@ def _searches(x, labels, tol, round_i, delta_i, rho, bound, settings):
     dense = x.to_dense(labels[0].dim)
     lanes = Brackets(dense, labels, bound)
     t_budget = mw_iterations(round_i, delta_i, tol, settings)
-    counts = lanes.m
-    # a closed search needs only its game's slack, mw_slack's, without a config
-    slack = [_slack(m + 1, _game_length(m + 1, t_budget), rho) for m in counts]
+    # a closed search needs only its game's slack, 2 rho eta (mw_slack's), without a config
+    slack = [2.0 * rho * _game(m + 1, t_budget)[1] for m in lanes.m]
     ends = np.array((lanes.c_lo, lanes.c_hi, lanes.side))  # every search's (c_lo, c_hi, side)
     problems = {}
     for t, k in zip(*np.nonzero(ends[1] - ends[0] > tol * tol / 2.0)):
         if k not in problems:
             problems[k] = RangeProblem(x, labels[k], bound, lanes)
-        cfg = mw_config_for(counts[k] + 1, t_budget, rho)
+        cfg = mw_config_for(lanes.m[k] + 1, t_budget, rho)
         ends[:, t, k] = _bisect_cost(int(t), problems[k], *ends[:, t, k], tol, cfg, settings)
     return _estimates(*ends, slack, lanes.leverage, dense, bound)
 

@@ -12,9 +12,9 @@ reads of it. Each label memoises its last ERM fit, which the ledger and the
 next round's cost ranges read; refit alone solves these fits, and
 erm_weights calls it for one label on a miss. After a round, record_round
 does each quantity once over the lanes: one stacked refit, one norm check,
-every risk in one product (risk_of_weights' form over the lanes) and each
-ledger entry at its label's point count. Regressors are linear with an L2 norm
-bound; fitting solves
+every risk in one product (_risks, the formula risk_of_weights runs for one
+lane) and each ledger entry at its label's point count. Regressors are
+linear with an L2 norm bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
@@ -188,8 +188,7 @@ class PrefixBlock:
             return
         table, lanes, n, d = np.concatenate(new), np.array(lanes), len(lanes), self.dim
         rows = table[:, 1].astype(np.intp)
-        if rows.max() >= self.parts.shape[1]:  # the caches grow together
-            self.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
+        self.reserve(("inverses", "fits", "parts"), int(rows.max()) + 1)
         aug = self.stack[lanes, rows].reshape(n, d + 1, d + 1)
         rhs, grams = np.zeros((n, d, d + 1)), aug[:, :d, :d].copy()
         rhs.reshape(n, -1)[:, :: d + 2], rhs[:, :, d] = 1.0, aug[:, :d, d]  # [I | h]
@@ -271,15 +270,12 @@ class LabelState:
         """Empirical risk of raw predictions on the prefix before round_j.
 
         The row's quadratic form at [w; -1], normalized by (round_j - 1)
-        however many of those rounds queried this label; rounds 0 and 1 have
-        zero risk by convention. It solves nothing (refit alone solves fits)
-        and keeps nothing: the memoised ERM's risk is this same form.
+        however many of those rounds queried this label (_risks). It solves
+        nothing (refit alone solves fits) and keeps nothing: the memoised
+        ERM's risk is this same form.
         """
         k = self.n_points_before(round_j)
-        if round_j <= 1 or k == 0:
-            return 0.0
-        v = np.append(weights, -1.0)
-        return max(float(v @ self.prefix_row(k) @ v), 0.0) / (round_j - 1)
+        return float(_risks(self.prefix_row(k)[None], [weights], round_j)[0]) if k else 0.0
 
     def erm_weights(self, round_j, bound):
         """Bounded least-squares weights for the prefix before round_j.
@@ -303,9 +299,7 @@ class LabelState:
             raise ValueError("risk and radius must be nonnegative")
         entry = LedgerEntry(round_j, erm_risk + delta)
         self.ledger.append(entry)
-        # after a round every point lies before round_j: no search
-        last = not self.rounds or self.rounds[-1] < round_j
-        count = self.n_points if last else self.n_points_before(round_j)
+        count = self.n_points_before(round_j)
         m = self.n_prefixes
         if count > self.last_prefix:
             if m + 1 == len(self._table):  # double the capacity
@@ -355,8 +349,8 @@ def refit(labels, round_j, bound):
 def record_round(labels, round_j, delta, bound):
     """Close a round of a tracked ledger over labels, a learner's lanes, whose
     points all lie before round_j: refit, check the fits' norms, take their
-    risks in one product and append each entry at its label's point count.
-    Returns the (K, dim) fits."""
+    risks in one product (_risks) and append each entry at its label's point
+    count. Returns the (K, dim) fits."""
     refit(labels, round_j, bound)
     fits, d = np.array([label._fit[2] for label in labels]), labels[0].dim
     norms = np.sqrt(np.vecdot(fits, fits))  # np.linalg.norm's dot, row by row
@@ -364,10 +358,18 @@ def record_round(labels, round_j, delta, bound):
         LinearRegressor(fits[norms.argmax()], bound)  # raises the fit's own error
     lanes, counts = [label.lane for label in labels], [label.n_points for label in labels]
     rows = labels[0].block.stack[lanes, counts].reshape(-1, d + 1, d + 1)
-    v = np.empty((len(labels), d + 1))
-    v[:, :d], v[:, d] = fits, -1.0
-    # risk_of_weights' v @ row @ v over the lanes: each lane's products round as a lone row's
-    risks = np.maximum(((v[:, None, :] @ rows) @ v[:, :, None])[:, 0, 0], 0.0) / (round_j - 1)
-    for label, risk in zip(labels, risks.tolist()):
+    for label, risk in zip(labels, _risks(rows, fits, round_j).tolist()):
         label.append_ledger(round_j, risk, delta)
     return fits
+
+
+def _risks(rows, weights, round_j):
+    """The one risk formula, over lanes: each (d+1)x(d+1) row's quadratic
+    form at [w; -1], w the matching row of weights, clipped at 0 and
+    normalised by round_j - 1; rounds 0 and 1 have zero risk by convention.
+    Each lane's products round as a lone row's v @ row @ v."""
+    if round_j <= 1:
+        return np.zeros(len(rows))
+    v = np.empty((len(rows), rows.shape[-1]))
+    v[:, :-1], v[:, -1] = weights, -1.0
+    return np.maximum(((v[:, None, :] @ rows) @ v[:, :, None])[:, 0, 0], 0.0) / (round_j - 1)

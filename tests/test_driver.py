@@ -475,7 +475,8 @@ def reference_refit(labels, round_j, bound):
 
 
 def reference_append_ledger(label, round_j, erm_risk, delta):
-    """LabelState.append_ledger as it was: the prefix's count by bisection."""
+    """LabelState.append_ledger, apart from the patched one that records the
+    new side's risks: the prefix's count by bisection."""
     entry = LedgerEntry(round_j, erm_risk + delta)
     label.ledger.append(entry)
     count, m = label.n_points_before(round_j), label.n_prefixes

@@ -12,6 +12,7 @@ from coal.oracle import (
     PrefixBlock,
     WeightedPoint,
     fit_weighted,
+    record_round,
     refit,
     solve_bounded_least_squares,
 )
@@ -76,6 +77,20 @@ def test_regressor_norm_invariant():
 def test_empirical_risk_round_one_is_zero():
     state = LabelState(1, dim=1)
     assert state.risk_of_weights(np.array([0.7]), 1) == 0.0
+
+
+def test_round_close_gives_rounds_zero_and_one_zero_risk():
+    # record_round takes every risk through the formula risk_of_weights runs
+    # for one label: a point queried in round 0 has zero risk at round 1,
+    # where dividing by round_j - 1 would give inf or NaN
+    block = PrefixBlock(1)
+    labels = [LabelState(y, dim=1, block=block) for y in (1, 2)]
+    labels[0].append_point(0, sparse_vector([(0, 1.0)]), 1.0)
+    assert labels[0].risk_of_weights(np.array([0.2]), 1) == 0.0
+    record_round(labels, 1, 0.5, 10.0)
+    assert [label.ledger[-1].delta_tilde for label in labels] == [0.5, 0.5]
+    fits = record_round(labels, 2, 0.5, 10.0)
+    assert labels[0].ledger[-1].delta_tilde == labels[0].risk_of_weights(fits[0], 2) + 0.5
 
 
 def test_empirical_risk_normalizes_by_rounds():
