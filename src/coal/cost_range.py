@@ -332,9 +332,9 @@ class RangeProblem:
 
     Holds the game's m + 1 quadratic constraints as one stack of augmented
     rows (coal.oracle): row j flattens a (d+1)x(d+1) matrix A whose value at
-    weights w is v'Av / n for v = [w; -1] and a normaliser n. The stack is
-    gathered from the label's lane of its PrefixBlock: rows 1..m are the
-    deduplicated ledger prefixes' rows, row 0 a scratch row, which each run
+    weights w is v'Av / n for v = [w; -1] and a normaliser n. One index into
+    the label's lane of its PrefixBlock gathers it: rows 1..m are the ledger
+    prefixes' rows (constraint_view), row 0 a scratch row, which each run
     writes for its t, so no game writes the history. Its saturated budgets
     are the label's lane of a round kernel (which holds its brackets):
     lanes, the round's Brackets, when given, or else a one-lane Brackets.
@@ -343,14 +343,15 @@ class RangeProblem:
     def __init__(self, x, state, bound, lanes=None):
         self.x = x = x.to_dense(state.dim)
         self.bound = float(bound)
-        self.stack, *_, table = state.prefix_cache()
-        self.m = len(table)
+        rounds, counts, budgets, radii = state.constraint_view()
+        self.stack = state.block.stack[state.lane, np.concatenate(([0], counts))]
+        self.m = len(counts)
         lanes = Brackets(x, [state], self.bound) if lanes is None else lanes
-        k, rows = state.lane - lanes.first_lane, table[:, 1].astype(np.intp) - 1
-        self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
-        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
-        saturated, budgets = lanes.saturated[k, rows], lanes.budgets[k, rows]
-        self.budgets = np.where(saturated, budgets / self.denoms[1:], table[:, 2])
+        k, rows = state.lane - lanes.first_lane, counts - 1
+        self.denoms = np.concatenate(([1.0], rounds - 1.0))
+        self.widths = np.concatenate(([2.0], radii + 1.0))
+        saturated, scaled = lanes.saturated[k, rows], lanes.budgets[k, rows]
+        self.budgets = np.where(saturated, scaled / self.denoms[1:], budgets)
 
     def run(self, c, t, cfg, settings=DEFAULT_SETTINGS):
         """Play the feasibility game for guess c against target t."""

@@ -137,13 +137,11 @@ class LearnerState:
 
 
 def _decide(policy, los, his, threshold):
-    """Candidate set and query set from interval ends (0-based arrays)."""
+    """Candidate and query sets from 0-based interval ends, for coal, nodom and allornone."""
     candidate = los <= his.min()
     wide = his - los > threshold
     nondominated = candidate.nonzero()[0]
-    if policy == "passive":
-        to_query = np.arange(los.size)
-    elif policy == "nodom":
+    if policy == "nodom":
         to_query = wide.nonzero()[0]
     else:
         # a lone candidate is the round's best label, so it is never queried
@@ -161,7 +159,7 @@ def process_example(state, x):
     """
     i = state.round
     threshold = psi(i)
-    if state.policy == "passive":  # _decide's sets: every lo (0) is at most every hi (1)
+    if state.policy == "passive":  # every lo (0) is at most every hi (1): all are candidates
         every, k = tuple(range(1, state.k + 1)), state.k
         return QueryDecision(i, np.zeros(k), np.ones(k), np.ones(k), every, every, threshold)
     if state.mode == "online":

@@ -6,15 +6,16 @@ each prefix of the queried points, the (d+1)x(d+1) sum of u u' with
 u = [x; cost], whose blocks [[G, h], [h', s]] are the Gram, the moment and
 the squared costs, and whose quadratic form at [w; -1] is the squared loss
 of w. A learner's labels share one PrefixBlock: LabelState writes row c of
-its label's lane once, as the sum of the first c points, and the block
-caches at each deduplicated ledger prefix's row all that coal.cost_range
-reads of it. Each label memoises its last ERM fit, which the ledger and the
-next round's cost ranges read; refit alone solves these fits, and
-erm_weights calls it for one label on a miss. After a round, record_round
-does each quantity once over the lanes: one stacked refit, one norm check,
-every risk in one product (_risks, the formula risk_of_weights runs for one
-lane) and each ledger entry at its label's point count. Regressors are
-linear with an L2 norm bound; fitting solves
+its label's lane once, as the sum of the first c points (prefix_row reads
+it), and the block caches at each deduplicated ledger prefix's row, which
+constraint_view lists, all that coal.cost_range reads of it. Each label
+memoises its last ERM fit, which the ledger and the next round's cost
+ranges read; refit alone solves these fits, at the point counts its caller
+holds, and erm_weights calls it for one label on a miss. After a round,
+record_round does each quantity once over the lanes: one stacked refit, one
+norm check, every risk in one product (_risks, the formula risk_of_weights
+runs for one lane) and each ledger entry. Regressors are linear with an L2
+norm bound; fitting solves
 
     min_g  sum_i w_i (g(x_i) - c_i)^2   s.t.  ||g||_2 <= bound
 
@@ -261,11 +262,6 @@ class LabelState:
         of row count of the label's lane of the block's stack."""
         return self.block.stack[self.lane, count].reshape(self.dim + 1, self.dim + 1)
 
-    def prefix_sums(self, count):
-        """(Gram, moment, sum of squared costs): the blocks of prefix_row(count)."""
-        row, d = self.prefix_row(count), self.dim
-        return row[:d, :d], row[:d, d], row[d, d]
-
     def risk_of_weights(self, weights, round_j):
         """Empirical risk of raw predictions on the prefix before round_j.
 
@@ -283,8 +279,9 @@ class LabelState:
         Memoised, read-only, for the last prefix and bound. refit alone solves
         fits: on a miss this label is refit alone.
         """
-        if self._fit[:2] != (self.n_points_before(round_j), bound):
-            refit([self], round_j, bound)
+        count = self.n_points_before(round_j)
+        if self._fit[:2] != (count, bound):
+            refit([self], [count], bound)
         return self._fit[2]
 
     def anchor(self, bound):
@@ -308,22 +305,6 @@ class LabelState:
             self.n_prefixes, self.last_prefix = m + 1, count
         return entry
 
-    def prefix_cache(self):
-        """Per deduplicated prefix, in ledger order, copies gathered from the
-        label's lane of block (PrefixBlock): the flattened augmented rows
-        behind a zero row 0 (scratch for the caller's own row), G_eps^-1 for
-        G_eps = G + RIDGE I, the ridge fits G_eps^-1 h, s - h'fit, |fit|, and
-        a view of the (round, count, budget, radius) entries.
-
-        The block fills each prefix once, at the first read after the ledger
-        added it, so a ledger that no cost range reads solves nothing.
-        """
-        b, table = self.block, self._table[: self.n_prefixes + 1]
-        b.fill()
-        rows = table[:, 1].astype(np.intp)  # 0, then each prefix's count
-        stack, inverses, fits, parts = (getattr(b, name)[self.lane, rows] for name in b.shapes)
-        return stack, inverses[1:], fits[1:], parts[1:, 0], parts[1:, 1], table[1:]
-
     def constraint_view(self):
         """Deduplicated ledger constraints as (rounds, counts, budgets, radii), copied."""
         table = self._table[1 : self.n_prefixes + 1]
@@ -331,12 +312,12 @@ class LabelState:
         return rounds, counts, table[:, 2].copy(), table[:, 3].copy()
 
 
-def refit(labels, round_j, bound):
-    """Fill the erm_weights memo of every label whose fit for round_j is stale,
-    with one stacked solve: after a round, those of the labels it queried.
-    The only code that solves a label's ERM fit or writes its memo."""
-    stale = [(label, label.n_points_before(round_j)) for label in labels]
-    stale = [(label, count) for label, count in stale if label._fit[:2] != (count, bound)]
+def refit(labels, counts, bound):
+    """Fill the erm_weights memo of every label whose fit on its first count
+    points (counts, the callers' own, one per label) is stale, with one
+    stacked solve: after a round, those of the labels it queried. The only
+    code that solves a label's ERM fit or writes its memo."""
+    stale = [(label, c) for label, c in zip(labels, counts) if label._fit[:2] != (c, bound)]
     if stale:
         d, lanes = labels[0].dim, [label.lane for label, _ in stale]
         rows = labels[0].block.stack[lanes, [c for _, c in stale]].reshape(-1, d + 1, d + 1)
@@ -348,15 +329,15 @@ def refit(labels, round_j, bound):
 
 def record_round(labels, round_j, delta, bound):
     """Close a round of a tracked ledger over labels, a learner's lanes, whose
-    points all lie before round_j: refit, check the fits' norms, take their
-    risks in one product (_risks) and append each entry at its label's point
-    count. Returns the (K, dim) fits."""
-    refit(labels, round_j, bound)
+    points all lie before round_j, so each prefix is all of its label's
+    points: refit at those counts, check the fits' norms, take their risks in
+    one product (_risks) and append each entry. Returns the (K, dim) fits."""
+    lanes, counts = [label.lane for label in labels], [label.n_points for label in labels]
+    refit(labels, counts, bound)
     fits, d = np.array([label._fit[2] for label in labels]), labels[0].dim
     norms = np.sqrt(np.vecdot(fits, fits))  # np.linalg.norm's dot, row by row
     if bound < 0 or norms.max() > bound + 1e-8:
         LinearRegressor(fits[norms.argmax()], bound)  # raises the fit's own error
-    lanes, counts = [label.lane for label in labels], [label.n_points for label in labels]
     rows = labels[0].block.stack[lanes, counts].reshape(-1, d + 1, d + 1)
     for label, risk in zip(labels, _risks(rows, fits, round_j).tolist()):
         label.append_ledger(round_j, risk, delta)

@@ -146,21 +146,21 @@ def brute_force_cost_range(grid, state, x):
     or None when nothing on the grid is feasible.
     """
     rows = [getattr(g, "weights", g) for g in grid]
-    w = np.asarray(rows, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != state.dim:
-        raise ValueError(f"grid must be (g, {state.dim}) weight rows")
+    w, d = np.asarray(rows, dtype=np.float64), state.dim
+    if w.ndim != 2 or w.shape[1] != d:
+        raise ValueError(f"grid must be (g, {d}) weight rows")
     feasible = np.ones(w.shape[0], dtype=bool)
     for entry in state.ledger:
         count = state.n_points_before(entry.round)
         if count == 0:
             continue
-        gram, moment, sq = state.prefix_sums(count)
-        quads = np.einsum("gi,ij,gj->g", w, gram, w) - 2.0 * (w @ moment) + sq
+        row = state.prefix_row(count)
+        quads = np.einsum("gi,ij,gj->g", w, row[:d, :d], w) - 2.0 * (w @ row[:d, d]) + row[d, d]
         risks = np.maximum(quads, 0.0) / (entry.round - 1)
         feasible &= risks <= entry.delta_tilde + 1e-12
     if not np.any(feasible):
         return None
-    preds = w[feasible] @ x.to_dense(state.dim)
+    preds = w[feasible] @ x.to_dense(d)
     lo = min(1.0, max(0.0, float(preds.min())))
     hi = min(1.0, max(0.0, float(preds.max())))
     return CostInterval(lo=lo, hi=hi, tol=0.0)

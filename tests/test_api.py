@@ -78,7 +78,6 @@ def test_every_public_name_has_a_caller_in_the_package():
 ATTRIBUTE_REFERENCES = {
     "CostInterval.width",
     "GroundTruth.true_costs",
-    "LabelState.constraint_view",
     # the one-label form of the risk formula; a round takes every label's
     # risk through oracle.record_round's one product over the lanes
     "LabelState.risk_of_weights",

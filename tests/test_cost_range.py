@@ -65,7 +65,8 @@ def separation_oracle(mu, t, x, state, bound=10.0):
     for weight, entry in zip(mu[1:], state.ledger):
         count = state.n_points_before(entry.round)
         if count:
-            g, h, _ = state.prefix_sums(count)
+            row, d = state.prefix_row(count), state.dim
+            g, h = row[:d, :d], row[:d, d]
             gram = gram + weight / (entry.round - 1) * g
             moment = moment + weight / (entry.round - 1) * h
     return LinearRegressor(solve_bounded_least_squares(gram, moment, bound), bound)
@@ -378,7 +379,8 @@ def two_part_game(x, state, bound, c, t, cfg, settings):
     moment_stack = np.zeros((m, x.size))
     sq_stack = np.zeros(m)
     for j, count in enumerate(counts):
-        gram_stack[j], moment_stack[j], sq_stack[j] = state.prefix_sums(count)
+        row = state.prefix_row(count)
+        gram_stack[j], moment_stack[j], sq_stack[j] = row[:-1, :-1], row[:-1, -1], row[-1, -1]
     bounds = np.concatenate(([c], budgets))
     widths = np.concatenate(([2.0], radii + 1.0))
     mu = np.full(m + 1, 1.0 / (m + 1))
@@ -805,8 +807,7 @@ def test_exact_round_factorises_each_prefix_once(monkeypatch):
     prefixes = sum(label.n_prefixes for label in state.labels)
     assert prefixes == sum(len(label.constraint_view()[0]) for label in state.labels) > 200
     assert calls["rounds"] == state.round - 1  # one kernel a round, for every label's searches
-    for label in state.labels:  # the prefixes the last refit added, read by no round
-        label.prefix_cache()
+    state.labels[0].block.fill()  # the prefixes the last refit added, read by no round
     assert calls["factorisations"] == prefixes
     assert calls["eigh"] <= state.k * (state.round - 1)
 
@@ -895,7 +896,8 @@ def test_prefix_cache_matches_the_stacked_construction():
         problem = RangeProblem(x, state, bound)
         lanes, counts = Brackets(problem.x, [state], bound), state.constraint_view()[1]
         want = stacked_reference(problem.x, state, bound)
-        _, _, fits, residuals, _, _ = state.prefix_cache()
+        fits, parts = state.block.fits[state.lane, counts], state.block.parts[state.lane, counts]
+        residuals = parts[:, 0]
         assert problem.m == state.n_prefixes == len(counts)
         assert np.allclose(fits, want["fits"], rtol=1e-12, atol=0.0)
         assert np.allclose(residuals, want["residuals"], rtol=1e-12, atol=1e-300)
@@ -949,15 +951,19 @@ class OneLabelProblem:
     def __init__(self, x, state, bound):
         self.x = x = x.to_dense(state.dim)
         self.bound = float(bound)
-        self.stack, inverses, self.fits, residuals, fit_norms, table = state.prefix_cache()
-        self.m = m = len(table)
-        self.budgets = table[:, 2]
-        self.widths = np.concatenate(([2.0], table[:, 3] + 1.0))
-        self.denoms = np.concatenate(([1.0], table[:, 0] - 1.0))
+        rounds, counts, self.budgets, radii = state.constraint_view()
+        block, lane = state.block, state.lane
+        block.fill()
+        self.stack = block.stack[lane, np.concatenate(([0], counts))]
+        inverses, self.fits = block.inverses[lane, counts], block.fits[lane, counts]
+        residuals, fit_norms = block.parts[lane, counts, 0], block.parts[lane, counts, 1]
+        self.m = m = len(counts)
+        self.widths = np.concatenate(([2.0], radii + 1.0))
+        self.denoms = np.concatenate(([1.0], rounds - 1.0))
         self.directions = inverses @ x
         leverages = np.maximum(self.directions @ x, 0.0)
         self.leverage = float(np.min(self.denoms[1:] * leverages, initial=np.inf))
-        self.anchor = state.erm_weights(int(table[-1, 0]), self.bound) if m else np.zeros(x.size)
+        self.anchor = state.erm_weights(int(rounds[-1]), self.bound) if m else np.zeros(x.size)
         budgets = self.budgets * self.denoms[1:]
         rho = np.maximum(budgets + RIDGE * (self.bound + fit_norms) ** 2 - residuals, 0.0)
         centres, half = self.fits @ x, np.sqrt(rho) * np.sqrt(leverages)

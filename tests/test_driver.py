@@ -110,8 +110,6 @@ def test_decide_domination_anchor():
 def test_decide_policies_share_candidates():
     los = np.array([0.0, 0.05, 0.6])
     his = np.array([0.1, 0.2, 0.9])
-    _, passive = _decide("passive", los, his, 0.04)
-    assert list(passive) == [0, 1, 2]
     _, allornone = _decide("allornone", los, his, 0.04)
     assert list(allornone) == [0, 1, 2]  # coal set nonempty -> everything
     _, nodom = _decide("nodom", los, his, 0.04)

@@ -322,11 +322,6 @@ def test_label_history_is_the_augmented_row_the_games_stack():
         for u in augmented[:count]:
             want = want + np.outer(u, u)
         assert np.array_equal(row, want)
-        gram, moment, sq = state.prefix_sums(count)
-        if count:  # the empty prefix's row is built anew on each call
-            assert np.shares_memory(gram, row) and np.shares_memory(moment, row)
-        assert np.array_equal(gram, want[:d, :d]) and np.array_equal(moment, want[:d, d])
-        assert sq == want[d, d]
 
     problem = RangeProblem(sparse_vector([(0, 1.0)]), state, 10.0)
     rounds = state.constraint_view()[0]
@@ -469,11 +464,13 @@ def test_label_joining_a_filled_block_is_refused():
         LabelState(2, 1, block)
     assert block.labels == [first] and first.n_prefixes == 0
     first.append_ledger(2, 0.0, 0.1)
-    before = first.prefix_cache()
+    block.fill()
+    before = [getattr(block, name).copy() for name in block.shapes]
     with pytest.raises(ValueError, match="before any point"):
         LabelState(2, 1, block)
     assert block.labels == [first]
-    assert all(np.array_equal(a, b) for a, b in zip(before, first.prefix_cache()))
+    block.fill()
+    assert all(np.array_equal(a, getattr(block, name)) for a, name in zip(before, block.shapes))
 
 
 def test_refit_memo_matches_each_label_fitted_alone():
@@ -494,9 +491,10 @@ def test_refit_memo_matches_each_label_fitted_alone():
                         x, cost = sparse_vector(list(enumerate(z))), float(rng.uniform())
                         label.append_point(round_i, x, cost)
             bound = float(rng.choice((0.1, 1.0, 10.0)))
-            refit(labels, round_i + 1, bound)
+            refit(labels, [label.n_points for label in labels], bound)
             for label in labels:
-                g, h, _ = label.prefix_sums(label.n_points)
+                row = label.prefix_row(label.n_points)
+                g, h = row[:d, :d], row[:d, d]
                 assert label._fit[:2] == (label.n_points, bound)
                 assert np.array_equal(label._fit[2], solve_bounded_least_squares(g, h, bound))
                 assert label.erm_weights(round_i + 1, bound) is label._fit[2]

@@ -61,12 +61,17 @@ def test_massart_margins_respect_floor():
 
 
 def test_tsybakov_margin_law_monte_carlo():
-    # P[margin <= t] = beta * t^alpha below tau0
-    stream, _ = gen_stream(2, 2, tsybakov(0.5, 2.0, 4.0), 100_000, seed=11)
-    margins = margins_of(stream, 2)
-    assert abs((margins <= 0.25).mean() - 4.0 * 0.25**2) < 0.01
-    assert abs((margins <= 0.4).mean() - 4.0 * 0.4**2) < 0.01
-    assert margins.max() <= 0.625 + 1e-12  # 1.25 * tau0
+    # P[margin <= t] = beta * t^alpha below tau0, and the leftover mass
+    # 1 - beta * tau0^alpha (none at beta 4, half at beta 2) is an atom at 1.25 tau0
+    for beta in (4.0, 2.0):
+        stream, _ = gen_stream(2, 2, tsybakov(0.5, 2.0, beta), 100_000, seed=11)
+        margins = margins_of(stream, 2)
+        assert abs((margins <= 0.25).mean() - beta * 0.25**2) < 0.01
+        assert abs((margins <= 0.4).mean() - beta * 0.4**2) < 0.01
+        assert margins.max() <= 0.625 + 1e-12  # 1.25 * tau0
+        atom = np.abs(margins - 0.625) <= 1e-12
+        assert abs(atom.mean() - (1.0 - beta * 0.5**2)) < 0.01
+        assert np.all(atom | (margins <= 0.5))
 
 
 def test_true_costs_well_formed():
