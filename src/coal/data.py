@@ -7,6 +7,8 @@ Conventions used across the package:
   bias feature that the experiment harness injects when absent
 * costs live in [0, 1]; unobserved costs are stored as NaN with a False
   observed flag
+* parse_example builds a line's costs, and its features unless sparse_vector must
+  sum, drop or sort them, on its token checks alone, with no second check
 """
 
 from __future__ import annotations
@@ -220,8 +222,11 @@ def parse_example(line, k, lineno=None):
 
     Tokens are separated by spaces or tabs. Labels are 1..k with costs in
     [0, 1]; unlisted labels are unobserved. A feature value must have a finite
-    square, and so must the vector's norm; duplicate feature indices are summed.
-    Raises ParseError with its position, counted from the start of the line.
+    square, and so must the vector's norm; duplicate feature indices are summed,
+    and zero entries dropped. Raises ParseError with its position, counted from
+    the start of the line. The token checks are the vectors' own checks, so the
+    costs, and the features of a line whose indices strictly increase and whose
+    values are nonzero (each line serialize_example writes), are not checked again.
     """
     bar = line.find("|")
     if bar < 0:
@@ -229,56 +234,57 @@ def parse_example(line, k, lineno=None):
     if line.find("|", bar + 1) >= 0:
         raise ParseError("more than one '|' separator", lineno, line.find("|", bar + 1) + 1)
 
-    def tokens(section, offset):
-        col = offset
-        # a tab is one character, like the space it becomes, so columns still count
-        for tok in section.replace("\t", " ").split(" "):
-            if tok:
-                yield tok, col + 1
-            col += len(tok) + 1
-
-    seen = {}
-    for tok, col in tokens(line[:bar], 0):
-        head, sep, tail = tok.partition(":")
-        if not sep or not head or not tail:
-            raise ParseError(f"malformed label:cost token {tok!r}", lineno, col)
-        try:
-            y = int(head)
-            c = float(tail)
-        except ValueError:
-            raise ParseError(f"malformed label:cost token {tok!r}", lineno, col) from None
-        if not 1 <= y <= k:
-            raise ParseError(f"label {y} out of range 1..{k}", lineno, col)
-        if y in seen:
-            raise ParseError(f"duplicate cost for label {y}", lineno, col)
-        if not math.isfinite(c) or not 0.0 <= c <= 1.0:
-            raise ParseError(f"cost {tail} for label {y} outside [0, 1]", lineno, col)
-        seen[y] = c
-    if not seen:
+    costs, observed = np.full(k, np.nan), np.zeros(k, dtype=bool)
+    col = 1  # 1-based column of the next token; a tab is one character, like its space
+    for tok in line[:bar].replace("\t", " ").split(" "):
+        if tok:
+            head, sep, tail = tok.partition(":")
+            if not sep or not head or not tail:
+                raise ParseError(f"malformed label:cost token {tok!r}", lineno, col)
+            try:
+                y, c = int(head), float(tail)
+            except ValueError:
+                raise ParseError(f"malformed label:cost token {tok!r}", lineno, col) from None
+            if not 1 <= y <= k:
+                raise ParseError(f"label {y} out of range 1..{k}", lineno, col)
+            if observed[y - 1]:
+                raise ParseError(f"duplicate cost for label {y}", lineno, col)
+            if not math.isfinite(c) or not 0.0 <= c <= 1.0:
+                raise ParseError(f"cost {tail} for label {y} outside [0, 1]", lineno, col)
+            costs[y - 1] = c
+            observed[y - 1] = True
+        col += len(tok) + 1
+    if not observed.any():
         raise ParseError("need at least one label:cost pair", lineno, 1)
 
-    feats = []
-    for tok, col in tokens(line[bar + 1 :], bar + 1):
-        head, sep, tail = tok.partition(":")
-        if not sep or not head or not tail:
-            raise ParseError(f"malformed index:value token {tok!r}", lineno, col)
-        try:
-            i = int(head)
-            v = float(tail)
-        except ValueError:
-            raise ParseError(f"malformed index:value token {tok!r}", lineno, col) from None
-        if i < 0:
-            raise ParseError(f"negative feature index {i}", lineno, col)
-        # the learner squares every value, in Gram rows, accumulators and |x|^2
-        if not math.isfinite(v * v):
-            raise ParseError(f"feature value {tail} has no finite square", lineno, col)
-        feats.append((i, v))
-    x = sparse_vector(feats)
+    idx, val = [], []
+    col = bar + 2
+    for tok in line[bar + 1 :].replace("\t", " ").split(" "):
+        if tok:
+            head, sep, tail = tok.partition(":")
+            if not sep or not head or not tail:
+                raise ParseError(f"malformed index:value token {tok!r}", lineno, col)
+            try:
+                i, v = int(head), float(tail)
+            except ValueError:
+                raise ParseError(f"malformed index:value token {tok!r}", lineno, col) from None
+            if i < 0:
+                raise ParseError(f"negative feature index {i}", lineno, col)
+            # the learner squares every value, in Gram rows, accumulators and |x|^2
+            if not math.isfinite(v * v):
+                raise ParseError(f"feature value {tail} has no finite square", lineno, col)
+            idx.append(i)
+            val.append(v)
+        col += len(tok) + 1
+    if 0.0 in val or idx != sorted(set(idx)):  # a repeat, a zero (or -0.0), or out of order
+        x = sparse_vector(zip(idx, val))
+    else:  # 0.0 + v == v for a nonzero finite v, so sparse_vector would give these bytes
+        x = prechecked(SparseVector, np.array(idx, dtype=np.int64), np.array(val))
     # finite squares can still sum past the largest float
     norm = math.hypot(*x.values.tolist())
     if not math.isfinite(norm * norm):
         raise ParseError("features have no finite squared norm", lineno, bar + 1)
-    return LabeledExample(x, partial_costs(k, seen))
+    return LabeledExample(x, prechecked(CostVector, costs, observed))
 
 
 def serialize_example(example):

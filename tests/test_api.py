@@ -17,6 +17,7 @@ TEST_REFERENCES = {
     "max_cost",
     "min_cost",
     "sensitivity",
+    "partial_costs",
 }
 
 
